@@ -16,11 +16,9 @@ from .cohomology import (
     OracleReport,
     cochain_complex,
     epicenter,
-    exterior_dim_oracle,
     is_capable_oracle,
     oracle_report,
     schur_dim_oracle,
-    tensor_dim_oracle,
 )
 from .document import DocumentError, dumps_algebra, loads_algebra
 from .fields import FieldSpec, Fp, gf, rationals
@@ -67,7 +65,6 @@ __all__ = [
     "dumps_algebra",
     "epicenter",
     "exterior_dim",
-    "exterior_dim_oracle",
     "exterior_is_abelian",
     "functor_report",
     "gf",
@@ -90,5 +87,4 @@ __all__ = [
     "square_dim",
     "stem_decompose",
     "tensor_dim",
-    "tensor_dim_oracle",
 ]

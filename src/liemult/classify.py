@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, SeriesReport
 from .catalog import Family
 from .linalg import EchelonBasis, Matrix
 
@@ -65,6 +65,13 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     return StemDecomposition(p, len(stem_rows), len(abelian_rows))
 
 
+def _rank_from_series(n: int, series: SeriesReport) -> int:
+    spread = n - series.center.dim
+    if spread <= 0 or spread % 2 != 0:
+        raise ValueError("center dimension inconsistent with a Heisenberg structure")
+    return spread // 2
+
+
 def heisenberg_rank(L: LieAlgebra) -> int:
     """Rank m with L isomorphic to H(m) + A(n-2m-1); needs dim L^2 = 1."""
     series = L.series()
@@ -72,10 +79,7 @@ def heisenberg_rank(L: LieAlgebra) -> int:
         raise ValueError("algebra is not nilpotent")
     if series.derived_dim != 1:
         raise ValueError(f"heisenberg_rank needs dim L^2 = 1, got {series.derived_dim}")
-    spread = L.dim - series.center.dim
-    if spread <= 0 or spread % 2 != 0:
-        raise ValueError("center dimension inconsistent with a Heisenberg structure")
-    return spread // 2
+    return _rank_from_series(L.dim, series)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def classify(L: LieAlgebra) -> Classification:
         return Classification(Family.ABELIAN, None, n, n, 0, cls, zdim, 0, n > 1)
 
     if d == 1:
-        m = heisenberg_rank(L)
+        m = _rank_from_series(n, series)
         fam = Family.HEISENBERG
         return Classification(fam, m, n - 2 * m - 1, n, 1, cls, zdim, 2 * m + 1,
                               _capable_by_family(fam, m, n))

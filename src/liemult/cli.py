@@ -19,9 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import reduce_mod_p
 from .catalog import CONSTRUCTIBLE, CatalogId, Family, make_catalog
-from .classify import classify
 from .document import (
     DocumentError,
     algebra_to_document,
@@ -223,15 +221,8 @@ def cmd_check(args) -> int:
             if not series.is_nilpotent:
                 skipped.append((path.name, "not nilpotent"))
                 continue
-            if classify(algebra).in_scope:
-                cap = None
-                if not algebra.field.is_prime_field:
-                    try:
-                        reduce_mod_p(algebra, prime)  # denominators must be units mod p
-                        cap = prime
-                    except ValueError:
-                        cap = None
-                results.append(cross_check(algebra, path.name, capability_prime=cap))
+            if series.derived_dim <= 2:
+                results.append(cross_check(algebra, path.name, capability_prime=prime))
             else:
                 skipped.append((path.name, "out of scope (dim L^2 > 2), oracle-only"))
     else:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, reduce_mod_p
 from .linalg import Matrix, Subspace, rref
 
 
@@ -129,22 +129,6 @@ def schur_dim_oracle(L: LieAlgebra) -> int:
     return npairs - rank_d2 - cc.derived_dim
 
 
-def exterior_dim_oracle(L: LieAlgebra) -> int:
-    """Multiplier plus dim L^2; valid in the dim L^2 <= 2 regime."""
-    d = L.derived_subalgebra().dim
-    if d > 2:
-        raise ValueError(f"exterior square oracle needs dim L^2 <= 2, got {d}")
-    return schur_dim_oracle(L) + d
-
-
-def tensor_dim_oracle(L: LieAlgebra) -> int:
-    d = L.derived_subalgebra().dim
-    if d > 2:
-        raise ValueError(f"tensor square oracle needs dim L^2 <= 2, got {d}")
-    m = L.dim - d
-    return exterior_dim_oracle(L) + m * (m + 1) // 2
-
-
 def _central_lines(field, basis_rows, p: int):
     """All one-dimensional subspaces of the span, one normalized vector each."""
     d = len(basis_rows)
@@ -209,24 +193,37 @@ class OracleReport:
     schur: int
     exterior: int | None  # None when dim L^2 > 2
     tensor: int | None
-    epicenter_dim: int | None  # None over the rationals
+    epicenter_prime: int | None  # the field swept; None when no sweep ran
+    epicenter_dim: int | None
     capable: bool | None
+    sweep_error: str | None = None  # why a rational table could not be reduced
 
 
-def oracle_report(L: LieAlgebra, with_capability: bool | None = None) -> OracleReport:
-    """Bundle the brute-force values; capability defaults to "when possible"."""
+def oracle_report(L: LieAlgebra, capability_prime: int | None = None) -> OracleReport:
+    """Every brute-force value, from one multiplier and at most one sweep.
+
+    For dim L^2 <= 2 the exterior and tensor squares follow from the
+    multiplier (exterior = M(L) + dim L^2, tensor = exterior + m(m+1)/2),
+    and capability is swept: in L's own field when that is prime, else on
+    the reduction mod `capability_prime` when one is given.  A reduction
+    that fails leaves capability undecided and records the reason.
+    """
     d = L.derived_subalgebra().dim
     schur = schur_dim_oracle(L)
-    exterior = tensor = None
-    if d <= 2:
-        exterior = schur + d
-        m = L.dim - d
-        tensor = exterior + m * (m + 1) // 2
-    if with_capability is None:
-        with_capability = L.field.is_prime_field
-    epi = cap = None
-    if with_capability:
-        epi_space = epicenter(L)
-        epi = epi_space.dim
-        cap = epi == 0
-    return OracleReport(schur, exterior, tensor, epi, cap)
+    if d > 2:
+        return OracleReport(schur, None, None, None, None, None)
+    exterior = schur + d
+    m = L.dim - d
+    tensor = exterior + m * (m + 1) // 2
+    target = error = None
+    if L.field.is_prime_field:
+        target = L
+    elif capability_prime is not None:
+        try:
+            target = reduce_mod_p(L, capability_prime)
+        except ValueError as exc:
+            error = str(exc)
+    if target is None:
+        return OracleReport(schur, exterior, tensor, None, None, None, error)
+    epi = epicenter(target).dim
+    return OracleReport(schur, exterior, tensor, target.field.p, epi, epi == 0)

@@ -14,7 +14,7 @@ side pins down per instance.  Derived quantities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Union
 
 from .catalog import Family
@@ -146,7 +146,6 @@ class FunctorReport:
     capable: bool
     exterior_abelian: bool
     rule: str
-    provenance: str = dc_field(default="formula")
 
 
 def functor_report(c: Classification) -> FunctorReport:

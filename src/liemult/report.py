@@ -9,19 +9,23 @@ sorted arrays.
 
 from __future__ import annotations
 
-from .algebra import LieAlgebra, reduce_mod_p
+from dataclasses import asdict
+
+from .algebra import LieAlgebra
 from .classify import classify
-from .cohomology import schur_dim_oracle
+from .cohomology import OracleReport, oracle_report
 from .document import field_to_json
-from .formulas import admissible, functor_report, rule_id
-from .verify import cross_check
+from .formulas import functor_report, rule_id
+from .verify import _formula_json, compare
 
 DEFAULT_SWEEP_PRIME = 5
 
 
-def _dims_json(value):
-    vals = admissible(value)
-    return vals[0] if len(vals) == 1 else list(vals)
+def _oracle_json(oracle: OracleReport) -> dict:
+    block = asdict(oracle)  # field order is the report's key order
+    if block["sweep_error"] is None:
+        del block["sweep_error"]
+    return block
 
 
 def build_report(
@@ -57,6 +61,7 @@ def build_report(
         return report
 
     c = classify(L)
+    oracle = oracle_report(L, sweep_prime or DEFAULT_SWEEP_PRIME) if want_oracle else None
     if not c.in_scope:
         report["classification"] = {
             "applicable": False,
@@ -64,15 +69,8 @@ def build_report(
             "stem_dim": c.stem_dim,
         }
         report["functors"] = {"applicable": False}
-        if want_oracle:
-            report["oracle"] = {
-                "schur": schur_dim_oracle(L),
-                "exterior": None,
-                "tensor": None,
-                "epicenter_prime": None,
-                "epicenter_dim": None,
-                "capable": None,
-            }
+        if oracle is not None:
+            report["oracle"] = _oracle_json(oracle)
             report["checks"] = []
         report["ok"] = True
         return report
@@ -89,49 +87,22 @@ def build_report(
     report["functors"] = {
         "applicable": True,
         "rule": rule_id(c),
-        "schur": _dims_json(fr.schur),
-        "exterior": _dims_json(fr.exterior),
-        "tensor": _dims_json(fr.tensor),
+        "schur": _formula_json(fr.schur),
+        "exterior": _formula_json(fr.exterior),
+        "tensor": _formula_json(fr.tensor),
         "square": fr.square,
-        "corank": _dims_json(fr.corank),
+        "corank": _formula_json(fr.corank),
         "capable": fr.capable,
         "exterior_abelian": fr.exterior_abelian,
-        "provenance": fr.provenance,
     }
     ok = True
-    if want_oracle:
-        cap_prime = None
-        sweep_failed = None
-        if L.field.is_prime_field:
-            prime_used = L.field.p
-        else:
-            prime_used = sweep_prime or DEFAULT_SWEEP_PRIME
-            try:
-                reduce_mod_p(L, prime_used)  # probe: denominators must be units
-                cap_prime = prime_used
-            except ValueError as exc:
-                sweep_failed = str(exc)
-                prime_used = None
-        result = cross_check(L, capability_prime=cap_prime)
-        report["oracle"] = {
-            "schur": result.oracle.schur,
-            "exterior": result.oracle.exterior,
-            "tensor": result.oracle.tensor,
-            "epicenter_prime": prime_used if result.oracle.capable is not None else None,
-            "epicenter_dim": result.oracle.epicenter_dim,
-            "capable": result.oracle.capable,
-        }
-        if sweep_failed:
-            report["oracle"]["sweep_error"] = sweep_failed
+    if oracle is not None:
+        checks = compare(c, fr, oracle)
+        report["oracle"] = _oracle_json(oracle)
         report["checks"] = [
-            {
-                "quantity": ch.quantity,
-                "formula": list(ch.formula) if isinstance(ch.formula, tuple) else ch.formula,
-                "oracle": ch.oracle,
-                "pass": ch.ok,
-            }
-            for ch in result.checks
+            {"quantity": ch.quantity, "formula": ch.formula, "oracle": ch.oracle, "pass": ch.ok}
+            for ch in checks
         ]
-        ok = result.ok
+        ok = all(ch.ok for ch in checks)
     report["ok"] = ok
     return report

@@ -2,10 +2,12 @@
 
 `cross_check` classifies an algebra, evaluates every closed form, runs the
 cohomological brute-force computation of the same quantities, and reports a
-per-quantity verdict.  Capability is compared whenever a finite field is
-available: directly for prime-field algebras, and on the mod-p reduction of
-a rational table when a sweep prime is supplied (default 5 in the suite,
-the smallest odd prime clear of the characteristic-2 special cases).
+per-quantity verdict; the brute-force side is `cohomology.oracle_report`.
+Capability is compared whenever a finite field is available: directly for
+prime-field algebras, and on the mod-p reduction of a rational table when a
+sweep prime is supplied and every denominator is a unit mod p (default 5 in
+the suite, the smallest odd prime clear of the characteristic-2 special
+cases).
 
 `builtin_suite` assembles the golden instances: the six named stems over
 their stated fields, Heisenberg and abelian grids, and abelian-summand
@@ -16,16 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, reduce_mod_p
+from .algebra import LieAlgebra
 from .catalog import CatalogId, Family, make_catalog
 from .classify import Classification, classify
-from .cohomology import (
-    OracleReport,
-    epicenter,
-    exterior_dim_oracle,
-    schur_dim_oracle,
-    tensor_dim_oracle,
-)
+from .cohomology import OracleReport, oracle_report
 from .fields import gf, rationals
 from .formulas import FunctorReport, admissible, functor_report, matches
 
@@ -33,7 +29,7 @@ from .formulas import FunctorReport, admissible, functor_report, matches
 @dataclass(frozen=True)
 class Check:
     quantity: str
-    formula: object  # int, tuple of admissible ints, or bool
+    formula: object  # int, sorted list of admissible ints, or bool
     oracle: object
     ok: bool
 
@@ -50,43 +46,38 @@ class CrossCheckReport:
 
 def _formula_json(value):
     vals = admissible(value)
-    return vals[0] if len(vals) == 1 else vals
+    return vals[0] if len(vals) == 1 else list(vals)
+
+
+def compare(c: Classification, fr: FunctorReport, oracle: OracleReport) -> tuple[Check, ...]:
+    """One check per quantity; capability only when the oracle swept."""
+    quantities = [
+        ("schur", fr.schur, oracle.schur),
+        ("exterior", fr.exterior, oracle.exterior),
+        ("tensor", fr.tensor, oracle.tensor),
+        ("corank", fr.corank, c.n * (c.n - 1) // 2 - oracle.schur),
+    ]
+    checks = [Check(q, _formula_json(f), o, matches(f, o)) for q, f, o in quantities]
+    if oracle.capable is not None:
+        checks.append(Check("capable", fr.capable, oracle.capable, fr.capable == oracle.capable))
+    return tuple(checks)
 
 
 def cross_check(
     L: LieAlgebra, name: str = "", capability_prime: int | None = None
 ) -> CrossCheckReport:
-    """Compare every closed form against the brute-force value for one algebra."""
+    """Compare every closed form against the brute-force value for one algebra.
+
+    A rational table whose reduction mod `capability_prime` fails gets no
+    capability check; the reason is in `oracle.sweep_error`.
+    """
     c = classify(L)
     if not c.in_scope:
         raise ValueError("cross_check needs dim L^2 <= 2; use the oracle directly")
     fr = functor_report(c)
-    schur_o = schur_dim_oracle(L)
-    exterior_o = exterior_dim_oracle(L)
-    tensor_o = tensor_dim_oracle(L)
-    n = L.dim
-    corank_o = n * (n - 1) // 2 - schur_o
-    checks = [
-        Check("schur", _formula_json(fr.schur), schur_o, matches(fr.schur, schur_o)),
-        Check("exterior", _formula_json(fr.exterior), exterior_o, matches(fr.exterior, exterior_o)),
-        Check("tensor", _formula_json(fr.tensor), tensor_o, matches(fr.tensor, tensor_o)),
-        Check("corank", _formula_json(fr.corank), corank_o, matches(fr.corank, corank_o)),
-    ]
-
-    sweep_target = None
-    if L.field.is_prime_field:
-        sweep_target = L
-    elif capability_prime is not None:
-        sweep_target = reduce_mod_p(L, capability_prime)
-    epicenter_dim = capable_o = None
-    if sweep_target is not None:
-        epicenter_dim = epicenter(sweep_target).dim
-        capable_o = epicenter_dim == 0
-        checks.append(Check("capable", fr.capable, capable_o, fr.capable == capable_o))
-
-    oracle = OracleReport(schur_o, exterior_o, tensor_o, epicenter_dim, capable_o)
-    ok = all(ch.ok for ch in checks)
-    return CrossCheckReport(name, c, fr, oracle, tuple(checks), ok)
+    oracle = oracle_report(L, capability_prime)
+    checks = compare(c, fr, oracle)
+    return CrossCheckReport(name, c, fr, oracle, checks, all(ch.ok for ch in checks))
 
 
 SuiteEntry = tuple[str, LieAlgebra, "int | None"]

@@ -53,6 +53,16 @@ def rank2_stem_zoo(field: FieldSpec) -> list[tuple[str, LieAlgebra]]:
     ]
 
 
+def fifth_scaled_l58(field: FieldSpec) -> LieAlgebra:
+    """L5_8 with [x1,x2] = x4/5: rescaling x4 gives the catalog table."""
+    fifth = field.parse("1/5")
+    return LieAlgebra(
+        field,
+        5,
+        {(0, 1): tuple(fifth * c for c in unit(5, 3)), (0, 2): unit(5, 4)},
+    )
+
+
 def out_of_scope_algebra(field: FieldSpec) -> LieAlgebra:
     """dim L^2 = 3: [x1,x2] = x3, [x1,x3] = x4, [x2,x3] = x5."""
     return LieAlgebra(

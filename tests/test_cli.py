@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from conftest import jacobi_breaker, out_of_scope_algebra, stem7_rank2
+from conftest import fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2
 
+import liemult
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import main
 from liemult.document import dumps_algebra, loads_algebra
@@ -160,6 +163,19 @@ def test_report_out_of_scope_partial(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_report_sweep_error(tmp_path, capsys):
+    # a denominator of 5 has no reduction mod the default sweep prime
+    path = write_doc(tmp_path, "l58_fifth.json", fifth_scaled_l58(QQ))
+    assert main(["report", str(path), "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    oracle = report["oracle"]
+    assert "denominator divisible by 5" in oracle["sweep_error"]
+    assert oracle["capable"] is None and oracle["epicenter_prime"] is None
+    assert oracle["schur"] == 6
+    assert {ch["quantity"] for ch in report["checks"]} == {"schur", "exterior", "tensor", "corank"}
+    assert report["ok"] is True
+
+
 def test_report_mismatch_exit_code(tmp_path, capsys):
     # the known fingerprint collision: formulas disagree with the brute force
     path = write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
@@ -197,6 +213,14 @@ def test_check_directory(tmp_path, capsys):
     assert "MISMATCH" not in out
 
 
+def test_check_directory_sweep_error(tmp_path, capsys):
+    write_doc(tmp_path, "l58_fifth.json", fifth_scaled_l58(QQ))
+    assert main(["check", str(tmp_path)]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("l58_fifth.json")][0]
+    assert "schur=ok" in line and "corank=ok" in line
+    assert "capable=" not in line
+
+
 def test_check_directory_flags_mismatch(tmp_path, capsys):
     write_doc(tmp_path, "l43.json", make_catalog(CatalogId(Family.L4_3), QQ))
     write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
@@ -226,10 +250,15 @@ def test_check_builtin_suite(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same liemult as this process, installed or not
+    src = str(Path(liemult.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "liemult", "catalog", "L4_3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert loads_algebra(proc.stdout).dim == 4

@@ -4,18 +4,16 @@ import pytest
 
 from conftest import jacobi_breaker, out_of_scope_algebra, rank2_stem_zoo, stem6_class3
 
-from liemult import abelian, direct_sum, heisenberg
+from liemult import abelian, cohomology, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import (
     ComplexIntegrityError,
     cochain_complex,
     epicenter,
-    exterior_dim_oracle,
     is_capable_oracle,
     oracle_report,
     pair_basis,
     schur_dim_oracle,
-    tensor_dim_oracle,
     triple_basis,
 )
 from liemult.fields import gf, rationals
@@ -132,24 +130,28 @@ def test_exterior_tensor_named_stems():
         (CatalogId(Family.L5_5), QQ, 6, 12),
     ]
     for cid, field, wedge, tensor in table:
-        L = make_catalog(cid, field)
-        assert exterior_dim_oracle(L) == wedge
-        assert tensor_dim_oracle(L) == tensor
+        r = oracle_report(make_catalog(cid, field))
+        assert r.exterior == wedge
+        assert r.tensor == tensor
 
 
 def test_exterior_tensor_abelian():
-    A3 = abelian(QQ, 3)
-    assert exterior_dim_oracle(A3) == 3
-    assert tensor_dim_oracle(A3) == 9
+    r = oracle_report(abelian(QQ, 3))
+    assert r.exterior == 3
+    assert r.tensor == 9
 
 
-def test_regime_guard():
-    L = out_of_scope_algebra(QQ)
-    schur_dim_oracle(L)  # the multiplier itself is fine for any table
-    with pytest.raises(ValueError):
-        exterior_dim_oracle(L)
-    with pytest.raises(ValueError):
-        tensor_dim_oracle(L)
+def test_regime_guard(monkeypatch):
+    # the multiplier is fine for any table; the rest needs dim L^2 <= 2
+    def no_sweep(L):
+        raise AssertionError("out-of-scope tables must not be swept")
+
+    monkeypatch.setattr(cohomology, "epicenter", no_sweep)
+    for field, prime in ((QQ, 5), (G5, None)):
+        r = oracle_report(out_of_scope_algebra(field), capability_prime=prime)
+        assert r.schur == 3
+        assert (r.exterior, r.tensor, r.capable) == (None, None, None)
+        assert (r.epicenter_prime, r.epicenter_dim, r.sweep_error) == (None, None, None)
 
 
 def test_epicenter_heisenberg():
@@ -237,6 +239,7 @@ def test_oracle_report_bundle():
     r = oracle_report(make_catalog(CatalogId(Family.L5_8), G5))
     assert (r.schur, r.exterior, r.tensor) == (6, 8, 14)
     assert r.epicenter_dim == 0 and r.capable is True
+    assert r.epicenter_prime == 5 and r.sweep_error is None
 
     r = oracle_report(make_catalog(CatalogId(Family.L5_8), QQ))
     assert (r.schur, r.exterior, r.tensor) == (6, 8, 14)

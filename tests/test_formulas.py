@@ -178,7 +178,6 @@ def test_functor_report_bundle():
     fr = functor_report(cls_of(CatalogId(Family.L5_8)))
     assert (fr.schur, fr.exterior, fr.tensor, fr.square, fr.corank) == (6, 8, 14, 6, 4)
     assert fr.capable and fr.exterior_abelian
-    assert fr.provenance == "formula"
     assert fr.rule == "capable-L5_8"
 
 

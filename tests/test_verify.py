@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import out_of_scope_algebra, stem7_rank2
+from conftest import fifth_scaled_l58, out_of_scope_algebra, stem7_rank2
 
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
@@ -23,6 +23,16 @@ def test_cross_check_without_capability():
     assert r.ok
     assert {c.quantity for c in r.checks} == {"schur", "exterior", "tensor", "corank"}
     assert r.oracle.capable is None
+
+
+def test_cross_check_skips_capability_when_reduction_fails():
+    r = cross_check(fifth_scaled_l58(QQ), "fifth", capability_prime=5)
+    assert r.ok
+    assert {c.quantity for c in r.checks} == {"schur", "exterior", "tensor", "corank"}
+    assert r.oracle.capable is None and r.oracle.epicenter_prime is None
+    assert "denominator divisible by 5" in r.oracle.sweep_error
+    r = cross_check(fifth_scaled_l58(QQ), "fifth", capability_prime=7)
+    assert r.ok and r.oracle.capable is True and r.oracle.epicenter_prime == 7
 
 
 def test_cross_check_prime_field_uses_own_field():
