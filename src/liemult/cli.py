@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prime",
         type=int,
         default=None,
-        help=f"capability sweep prime for rational inputs (default {DEFAULT_SWEEP_PRIME})",
+        help=f"reduction prime for the capability check of rational inputs (default {DEFAULT_SWEEP_PRIME})",
     )
     p_rep.add_argument("--seed", type=int, default=0, help="seed for --randomize-basis")
     p_rep.add_argument(
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prime",
         type=int,
         default=None,
-        help=f"sweep prime for the suite (default {DEFAULT_SWEEP_PRIME})",
+        help=f"field of the suite's GF(p) entries and reduction prime for rational inputs (default {DEFAULT_SWEEP_PRIME})",
     )
     p_chk.set_defaults(func=cmd_check)
     return parser

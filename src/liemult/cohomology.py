@@ -18,20 +18,23 @@ multiplier dimension is then
 
     C(n,2) - rank(d2) - dim L^2.
 
-The epicenter sweep needs a finite field: it enumerates all one-dimensional
-central subspaces <z> and keeps those with
-dim M(L) = dim M(L/<z>) - dim(L^2 ∩ <z>), which characterizes membership
-in the epicenter.  The collected set must form a subspace; this is checked
-by counting, not assumed.
+The row space of d2 is im ∂₃ in Λ²L, so the nonabelian exterior square
+is L∧L = Λ²L / rowspace(d2) (Ellis), of dimension q = C(n,2) - rank(d2).
+The epicenter Z*(L) equals the exterior centre
+Z^∧(L) = {x : x∧y = 0 in L∧L for all y} (Niroomand, Parvizi and Russo,
+J. Algebra 2013), which is the kernel of one n x n·q matrix built from
+the RREF of d2: a polynomial computation over any field.  The result is
+checked to lie in Z(L), which it must when d2 is the complex of a Lie
+algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra import LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, rref
+from .linalg import Matrix, Subspace, kernel, pivot_columns, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -129,58 +132,44 @@ def schur_dim_oracle(L: LieAlgebra) -> int:
     return npairs - rank_d2 - cc.derived_dim
 
 
-def _central_lines(field, basis_rows, p: int):
-    """All one-dimensional subspaces of the span, one normalized vector each."""
-    d = len(basis_rows)
-    residues = [field.of(r) for r in range(p)]
-    one = field.one
-    zero = field.zero
-    for lead in range(d):
-        for tail in product(range(p), repeat=d - 1 - lead):
-            coeffs = [zero] * lead + [one] + [residues[t] for t in tail]
-            vec = None
-            for c, row in zip(coeffs, basis_rows):
-                if not c:
-                    continue
-                scaled = [c * x for x in row]
-                vec = scaled if vec is None else [a + b for a, b in zip(vec, scaled)]
-            yield tuple(vec)
+def _exterior_centre(L: LieAlgebra, reduced: Matrix, rank: int) -> Subspace:
+    """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the RREF of d2.
 
-
-def epicenter(L: LieAlgebra) -> Subspace:
-    """Z*(L) over a prime field, by sweeping the central lines.
-
-    A nonzero central z lies in the epicenter iff quotienting by <z>
-    drops the multiplier dimension by exactly dim(L^2 ∩ <z>).
+    L∧L has coordinates on the q free columns of `reduced`: a pair column
+    that is free is a coordinate itself, and a pivot column equals minus
+    the free part of its pivot row.  The result is the kernel of the
+    n x n·q matrix whose row i lists x_i∧x_j for every j.
     """
-    if not L.field.is_prime_field:
-        raise ValueError("epicenter sweep needs a prime field (finite enumeration)")
     series = L.series()
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
-    center = series.center
-    if center.dim == 0:
-        return Subspace.zero(L.field, L.dim)
-    derived = L.derived_subalgebra()
-    m_full = schur_dim_oracle(L)
-    p = L.field.p
+    n, field = L.dim, L.field
+    pivot_row = dict(zip(pivot_columns(reduced), reduced.data[:rank]))
+    free = [c for c in range(reduced.cols) if c not in pivot_row]
+    if not free:
+        return Subspace.full(field, n)
+    zero, one = field.zero, field.one
+    wedge = {  # x_i∧x_j for i < j, in the free coordinates
+        pq: [-pivot_row[c][f] for f in free] if c in pivot_row else [one if f == c else zero for f in free]
+        for c, pq in enumerate(pair_basis(n))
+    }
+    rows = []  # transposed: row (j, f) holds the f-th coordinate of x_i∧x_j over i
+    for j in range(n):
+        block = [[zero] * n for _ in free]
+        for i in range(n):
+            if i != j:
+                for f, v in enumerate(wedge[min(i, j), max(i, j)]):
+                    block[f][i] = v if i < j else -v
+        rows.extend(block)
+    centre = kernel(Matrix(field, rows, cols=n))
+    if not series.center.contains_subspace(centre):
+        raise ComplexIntegrityError("exterior centre is not central: the rows of d2 are not im ∂₃")
+    return centre
 
-    members = []
-    for z in _central_lines(L.field, center.basis_rows(), p):
-        line = Subspace.span(L.field, L.dim, [z])
-        quotient, _ = L.quotient(line)
-        drop = 1 if derived.contains(z) else 0
-        if schur_dim_oracle(quotient) - drop == m_full:
-            members.append(z)
 
-    span = Subspace.span(L.field, L.dim, members)
-    expected = (p ** span.dim - 1) // (p - 1)
-    if len(members) != expected:
-        raise ComplexIntegrityError(
-            f"epicenter candidate set is not a subspace: {len(members)} lines "
-            f"found, a {span.dim}-dim subspace has {expected}"
-        )
-    return span
+def epicenter(L: LieAlgebra) -> Subspace:
+    """Z*(L), as the exterior centre Z^∧(L), over any field."""
+    return _exterior_centre(L, *rref(cochain_complex(L).d2))
 
 
 def is_capable_oracle(L: LieAlgebra) -> bool:
@@ -193,37 +182,39 @@ class OracleReport:
     schur: int
     exterior: int | None  # None when dim L^2 > 2
     tensor: int | None
-    epicenter_prime: int | None  # the field swept; None when no sweep ran
+    epicenter_prime: int | None  # the field of the epicenter; None when none was computed
     epicenter_dim: int | None
     capable: bool | None
     sweep_error: str | None = None  # why a rational table could not be reduced
 
 
 def oracle_report(L: LieAlgebra, capability_prime: int | None = None) -> OracleReport:
-    """Every brute-force value, from one multiplier and at most one sweep.
+    """Every brute-force value, from one cochain complex and one rref(d2).
 
     For dim L^2 <= 2 the exterior and tensor squares follow from the
     multiplier (exterior = M(L) + dim L^2, tensor = exterior + m(m+1)/2),
-    and capability is swept: in L's own field when that is prime, else on
-    the reduction mod `capability_prime` when one is given.  A reduction
-    that fails leaves capability undecided and records the reason.
+    and the epicenter is read off the same RREF when L's field is prime;
+    a rational L is checked on its reduction mod `capability_prime` when
+    one is given.  A reduction that fails leaves capability undecided and
+    records the reason.
     """
-    d = L.derived_subalgebra().dim
-    schur = schur_dim_oracle(L)
+    cc = cochain_complex(L)
+    reduced, rank = rref(cc.d2)
+    d = cc.derived_dim
+    schur = cc.d2.cols - rank - d
     if d > 2:
         return OracleReport(schur, None, None, None, None, None)
     exterior = schur + d
     m = L.dim - d
     tensor = exterior + m * (m + 1) // 2
-    target = error = None
     if L.field.is_prime_field:
-        target = L
-    elif capability_prime is not None:
-        try:
-            target = reduce_mod_p(L, capability_prime)
-        except ValueError as exc:
-            error = str(exc)
-    if target is None:
-        return OracleReport(schur, exterior, tensor, None, None, None, error)
+        epi = _exterior_centre(L, reduced, rank).dim
+        return OracleReport(schur, exterior, tensor, L.field.p, epi, epi == 0)
+    if capability_prime is None:
+        return OracleReport(schur, exterior, tensor, None, None, None)
+    try:
+        target = reduce_mod_p(L, capability_prime)
+    except ValueError as exc:
+        return OracleReport(schur, exterior, tensor, None, None, None, str(exc))
     epi = epicenter(target).dim
-    return OracleReport(schur, exterior, tensor, target.field.p, epi, epi == 0)
+    return OracleReport(schur, exterior, tensor, capability_prime, epi, epi == 0)

@@ -126,16 +126,6 @@ def is_capable(c: Classification) -> bool:
     return bool(c.capable)
 
 
-def exterior_is_abelian(c: Classification) -> bool:
-    """The exterior square is abelian for every in-scope case."""
-    _require_in_scope(c)
-    if c.nil_class <= 2:
-        return True
-    if c.nil_class == 3 and c.derived_dim == 2:
-        return True
-    raise AssertionError("in-scope classifications have class <= 3 and dim L^2 <= 2")
-
-
 @dataclass(frozen=True)
 class FunctorReport:
     schur: DimValue
@@ -144,7 +134,6 @@ class FunctorReport:
     square: int
     corank: DimValue
     capable: bool
-    exterior_abelian: bool
     rule: str
 
 
@@ -157,6 +146,5 @@ def functor_report(c: Classification) -> FunctorReport:
         square=square_dim(c.n, c.derived_dim),
         corank=corank(c),
         capable=is_capable(c),
-        exterior_abelian=exterior_is_abelian(c),
         rule=rule_id(c),
     )

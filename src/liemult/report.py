@@ -93,7 +93,6 @@ def build_report(
         "square": fr.square,
         "corank": _formula_json(fr.corank),
         "capable": fr.capable,
-        "exterior_abelian": fr.exterior_abelian,
     }
     ok = True
     if oracle is not None:

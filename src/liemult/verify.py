@@ -3,11 +3,10 @@
 `cross_check` classifies an algebra, evaluates every closed form, runs the
 cohomological brute-force computation of the same quantities, and reports a
 per-quantity verdict; the brute-force side is `cohomology.oracle_report`.
-Capability is compared whenever a finite field is available: directly for
-prime-field algebras, and on the mod-p reduction of a rational table when a
-sweep prime is supplied and every denominator is a unit mod p (default 5 in
-the suite, the smallest odd prime clear of the characteristic-2 special
-cases).
+Capability is compared directly for prime-field algebras, and on the mod-p
+reduction of a rational table when a reduction prime is supplied and every
+denominator is a unit mod p (default 5 in the suite, the smallest odd prime
+clear of the characteristic-2 special cases).
 
 `builtin_suite` assembles the golden instances: the six named stems over
 their stated fields, Heisenberg and abelian grids, and abelian-summand
@@ -84,7 +83,7 @@ SuiteEntry = tuple[str, LieAlgebra, "int | None"]
 
 
 def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
-    """Golden instances: (name, algebra, sweep prime for rational entries)."""
+    """Golden instances: (name, algebra, reduction prime for rational entries)."""
     qq = rationals()
     gp = gf(prime)
     g2 = gf(2)
@@ -107,7 +106,7 @@ def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
     add("L6_7_2(1)[GF(2)]", named(Family.L6_7_2, g2, param=1))
     add("L1[Q]", named(Family.L1, qq), prime)
 
-    # Same stems over the sweep field, exercising the direct epicenter path.
+    # Same stems over GF(prime), exercising the direct epicenter path.
     add(f"L4_3[GF({prime})]", named(Family.L4_3, gp))
     add(f"L5_5[GF({prime})]", named(Family.L5_5, gp))
     add(f"L5_8[GF({prime})]", named(Family.L5_8, gp))
@@ -122,7 +121,7 @@ def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
             add(f"H({m})+A({k})[GF({prime})]", alg)
     add(f"H(4)[GF({prime})]", make_catalog(CatalogId(Family.HEISENBERG, rank=4), gp))
 
-    # Abelian algebras; capability swept only at small dimension.
+    # Abelian algebras; capability checked only at small dimension.
     for n in range(1, 7):
         alg = make_catalog(CatalogId(Family.ABELIAN, abelian=n), qq)
         add(f"A({n})[Q]", alg, prime if n <= 4 else None)

@@ -2,12 +2,17 @@
 
 The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
+`sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from liemult import LieAlgebra, direct_sum, heisenberg
+from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
+from liemult.linalg import Subspace
 
 
 def unit(n: int, k: int):
@@ -80,3 +85,58 @@ def jacobi_breaker(field: FieldSpec) -> LieAlgebra:
 def non_nilpotent(field: FieldSpec) -> LieAlgebra:
     """[x1,x2] = x2: solvable, not nilpotent."""
     return LieAlgebra(field, 2, {(0, 1): unit(2, 1)})
+
+
+def _central_lines(field, basis_rows, p: int):
+    """All one-dimensional subspaces of the span, one normalized vector each."""
+    d = len(basis_rows)
+    residues = [field.of(r) for r in range(p)]
+    one = field.one
+    zero = field.zero
+    for lead in range(d):
+        for tail in product(range(p), repeat=d - 1 - lead):
+            coeffs = [zero] * lead + [one] + [residues[t] for t in tail]
+            vec = None
+            for c, row in zip(coeffs, basis_rows):
+                if not c:
+                    continue
+                scaled = [c * x for x in row]
+                vec = scaled if vec is None else [a + b for a, b in zip(vec, scaled)]
+            yield tuple(vec)
+
+
+def sweep_epicenter(L: LieAlgebra) -> Subspace:
+    """Z*(L) over a prime field, by sweeping the central lines.
+
+    A nonzero central z lies in the epicenter iff quotienting by <z>
+    drops the multiplier dimension by exactly dim(L^2 ∩ <z>).  The cost
+    is (p^d - 1)/(p - 1) multipliers for d = dim Z(L).
+    """
+    if not L.field.is_prime_field:
+        raise ValueError("epicenter sweep needs a prime field (finite enumeration)")
+    series = L.series()
+    if not series.is_nilpotent:
+        raise ValueError("algebra is not nilpotent")
+    center = series.center
+    if center.dim == 0:
+        return Subspace.zero(L.field, L.dim)
+    derived = L.derived_subalgebra()
+    m_full = schur_dim_oracle(L)
+    p = L.field.p
+
+    members = []
+    for z in _central_lines(L.field, center.basis_rows(), p):
+        line = Subspace.span(L.field, L.dim, [z])
+        quotient, _ = L.quotient(line)
+        drop = 1 if derived.contains(z) else 0
+        if schur_dim_oracle(quotient) - drop == m_full:
+            members.append(z)
+
+    span = Subspace.span(L.field, L.dim, members)
+    expected = (p ** span.dim - 1) // (p - 1)
+    if len(members) != expected:
+        raise ComplexIntegrityError(
+            f"epicenter candidate set is not a subspace: {len(members)} lines "
+            f"found, a {span.dim}-dim subspace has {expected}"
+        )
+    return span

@@ -1,10 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import jacobi_breaker, out_of_scope_algebra, rank2_stem_zoo, stem6_class3
+from conftest import (
+    jacobi_breaker,
+    out_of_scope_algebra,
+    rank2_stem_zoo,
+    stem6_class3,
+    sweep_epicenter,
+)
 
-from liemult import abelian, cohomology, direct_sum, heisenberg
+from liemult import LieAlgebra, abelian, cohomology, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import (
     ComplexIntegrityError,
@@ -21,6 +28,7 @@ from liemult.linalg import Matrix, random_invertible
 
 QQ = rationals()
 G2 = gf(2)
+G3 = gf(3)
 G5 = gf(5)
 G7 = gf(7)
 
@@ -147,6 +155,7 @@ def test_regime_guard(monkeypatch):
         raise AssertionError("out-of-scope tables must not be swept")
 
     monkeypatch.setattr(cohomology, "epicenter", no_sweep)
+    monkeypatch.setattr(cohomology, "_exterior_centre", no_sweep)
     for field, prime in ((QQ, 5), (G5, None)):
         r = oracle_report(out_of_scope_algebra(field), capability_prime=prime)
         assert r.schur == 3
@@ -195,9 +204,49 @@ def test_epicenter_ignores_abelian_summands():
         assert epicenter(padded).dim == epicenter(T).dim
 
 
-def test_epicenter_needs_prime_field():
-    with pytest.raises(ValueError):
-        epicenter(heisenberg(QQ, 1))
+def test_epicenter_over_rationals():
+    assert epicenter(heisenberg(QQ, 1)).dim == 0
+    for L in (heisenberg(QQ, 2), stem6_class3(QQ)):
+        assert epicenter(L) == L.center()
+
+
+def _random_two_step(field, rng):
+    """[x_i, x_j] for generators i < j: a random vector in the top d coordinates.
+
+    A third of the brackets are zero, so some generators come out central.
+    """
+    g, d = rng.randrange(2, 6), rng.randrange(1, 4)
+    table = {
+        (i, j): [0] * g + [rng.randrange(field.p) for _ in range(d)]
+        for i, j in combinations(range(g), 2)
+        if rng.randrange(3)
+    }
+    return LieAlgebra(field, g + d, table)
+
+
+def _epicenter_cases():
+    rng = random.Random(20261018)
+    for field in (G2, G3, G5):
+        yield from rank2_stem_zoo(field)
+        yield "stem6_class3", stem6_class3(field)
+        h13 = direct_sum(heisenberg(field, 1), heisenberg(field, 3))
+        yield "H(1)+H(3)", h13.change_basis(random_invertible(field, h13.dim, rng))
+        made = 0
+        while made < 16:
+            L = _random_two_step(field, rng)
+            if not 1 <= L.derived_subalgebra().dim <= 3 or L.center().dim > 4:
+                continue
+            if made % 2:
+                L = L.change_basis(random_invertible(field, L.dim, rng))
+            made += 1
+            yield f"two-step #{made}", L
+
+
+def test_epicenter_matches_line_sweep():
+    cases = list(_epicenter_cases())
+    assert len(cases) >= 60
+    for name, L in cases:
+        assert epicenter(L) == sweep_epicenter(L), f"{name} over {L.field}"
 
 
 def test_capability_abelian():

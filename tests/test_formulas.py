@@ -10,7 +10,6 @@ from liemult.formulas import (
     admissible,
     corank,
     exterior_dim,
-    exterior_is_abelian,
     functor_report,
     is_capable,
     matches,
@@ -153,21 +152,11 @@ def test_direct_sum_additivity_on_heisenberg():
         assert schur_dim(c) == parts
 
 
-def test_exterior_is_abelian_everywhere_in_scope():
-    for cid in (
-        CatalogId(Family.HEISENBERG, rank=1),
-        CatalogId(Family.L4_3),
-        CatalogId(Family.L5_5, abelian=2),
-        CatalogId(Family.ABELIAN, abelian=3),
-    ):
-        assert exterior_is_abelian(cls_of(cid))
-
-
 def test_out_of_scope_raises():
     from conftest import out_of_scope_algebra
 
     c = classify(out_of_scope_algebra(QQ))
-    for fn in (schur_dim, exterior_dim, tensor_dim, corank, is_capable, exterior_is_abelian, rule_id):
+    for fn in (schur_dim, exterior_dim, tensor_dim, corank, is_capable, rule_id):
         with pytest.raises(ValueError):
             fn(c)
     with pytest.raises(ValueError):
@@ -177,7 +166,7 @@ def test_out_of_scope_raises():
 def test_functor_report_bundle():
     fr = functor_report(cls_of(CatalogId(Family.L5_8)))
     assert (fr.schur, fr.exterior, fr.tensor, fr.square, fr.corank) == (6, 8, 14, 6, 4)
-    assert fr.capable and fr.exterior_abelian
+    assert fr.capable
     assert fr.rule == "capable-L5_8"
 
 
