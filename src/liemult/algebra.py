@@ -10,12 +10,15 @@ algebra.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
-coordinates of the given basis.
+coordinates of the given basis.  An algebra and its table are read-only,
+so :meth:`LieAlgebra.series` is computed once per algebra and L^2 and
+Z(L) are read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
@@ -30,7 +33,7 @@ class JacobiViolation(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("field", "dim", "table", "labels")
+    __slots__ = ("field", "dim", "table", "labels", "_series")
 
     def __init__(
         self,
@@ -62,8 +65,9 @@ class LieAlgebra:
                 raise ValueError("labels length must equal dim")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", dict(sorted(table.items())))
+        object.__setattr__(self, "table", MappingProxyType(dict(sorted(table.items()))))
         object.__setattr__(self, "labels", labels or tuple(f"x{i+1}" for i in range(dim)))
+        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -136,8 +140,9 @@ class LieAlgebra:
         return Subspace.span(self.field, self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:
-        full = self.full_space()
-        return self.bracket_span(full, full)
+        """L^2, read from the series (L itself when L is perfect or zero)."""
+        lower = self.series().lower_central
+        return lower[min(1, len(lower) - 1)]
 
     def center(self) -> Subspace:
         """Kernel of the stacked adjoint equations sum_i z_i c_{ij}^k = 0."""
@@ -164,7 +169,12 @@ class LieAlgebra:
         return kernel(eqs)
 
     def series(self) -> "SeriesReport":
-        """Lower central series, derived series, center, nilpotency class."""
+        """Lower central series, derived series, center, nilpotency class.
+
+        Computed on the first call and kept: the algebra cannot change.
+        """
+        if self._series is not None:
+            return self._series
         full = self.full_space()
         lower = [full]
         while True:
@@ -176,15 +186,15 @@ class LieAlgebra:
                 break
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
-        derived = [full]
-        while True:
+        derived = list(lower[:2])  # L and L^2; a perfect L stops at L
+        while len(derived) > 1 and derived[-1].dim:
             nxt = self.bracket_span(derived[-1], derived[-1])
             if nxt.dim == derived[-1].dim:
                 break
             derived.append(nxt)
-            if nxt.dim == 0:
-                break
-        return SeriesReport(tuple(lower), tuple(derived), self.center(), cls)
+        series = SeriesReport(tuple(lower), tuple(derived), self.center(), cls)
+        object.__setattr__(self, "_series", series)
+        return series
 
     # -- constructions --------------------------------------------------------
 
@@ -249,10 +259,8 @@ class SeriesReport:
 
     @property
     def derived_dim(self) -> int:
-        """dim L^2 (zero for abelian algebras)."""
-        if len(self.lower_central) > 1:
-            return self.lower_central[1].dim
-        return 0
+        """dim L^2; a perfect L keeps only L in lower_central, and L^2 = L."""
+        return self.lower_central[min(1, len(self.lower_central) - 1)].dim
 
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.lower_central)

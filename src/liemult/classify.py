@@ -2,8 +2,9 @@
 
 Every non-abelian finite-dimensional nilpotent Lie algebra splits as
 T + A with A abelian and T a stem algebra (Z(T) contained in T^2), and
-Z(T) = Z(L) ∩ L^2.  `stem_decompose` realizes the split by greedy basis
-extension and returns the change of basis.
+Z(T) = Z(L) ∩ L^2.  `stem_decompose` realizes the split in one greedy
+pass over L^2, Z(L) and the standard basis, all read from `L.series()`,
+and returns the change of basis.
 
 `classify` recognizes algebras with derived subalgebra of dimension at
 most 2 by the invariant tuple (dim L^2, nilpotency class, stem dimension,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, SeriesReport
+from .algebra import LieAlgebra
 from .catalog import Family
 from .linalg import EchelonBasis, Matrix
 
@@ -35,41 +36,25 @@ class StemDecomposition:
 def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     """Split L as stem ⊕ central abelian, emitting the basis change.
 
-    C = Z(L) ∩ L^2 is extended to a basis of Z(L); the extension spans the
-    abelian summand A'.  The stem is built over L^2 by greedily adding
-    standard basis vectors independent of A', so it contains L^2 and is
-    closed under the bracket.  Raises on abelian input, where "stem" would
-    be meaningless.
+    One greedy pass, seeded with a basis of L^2: the Z(L) basis rows that
+    stay independent span a complement A' of Z(L) ∩ L^2 in Z(L), the
+    abelian summand; the standard basis vectors that stay independent then
+    complete L^2 to the stem, which is closed under the bracket because it
+    contains L^2.  Raises on abelian input, where "stem" would be
+    meaningless.
     """
     if L.is_abelian:
         raise ValueError("abelian algebras have no stem decomposition")
     derived = L.derived_subalgebra()
-    center = L.center()
-    core = center.intersect(derived)
-    central_complement = core.complement_within(center)
-
     acc = EchelonBasis(L.field, L.dim, derived.basis_rows())
-    for row in central_complement.basis_rows():
-        if not acc.add(row):
-            raise AssertionError("central complement overlaps the derived subalgebra")
+    abelian_rows = [z for z in L.series().center.basis_rows() if acc.add(z)]
     stem_rows = list(derived.basis_rows())
-    for i in range(L.dim):
-        e = L.basis_vector(i)
-        if acc.add(e):
-            stem_rows.append(e)
-    abelian_rows = list(central_complement.basis_rows())
+    stem_rows += [e for e in map(L.basis_vector, range(L.dim)) if acc.add(e)]
     rows = stem_rows + abelian_rows
     if len(rows) != L.dim:
         raise AssertionError("basis extension did not reach full dimension")
     p = Matrix(L.field, rows, cols=L.dim)
     return StemDecomposition(p, len(stem_rows), len(abelian_rows))
-
-
-def _rank_from_series(n: int, series: SeriesReport) -> int:
-    spread = n - series.center.dim
-    if spread <= 0 or spread % 2 != 0:
-        raise ValueError("center dimension inconsistent with a Heisenberg structure")
-    return spread // 2
 
 
 def heisenberg_rank(L: LieAlgebra) -> int:
@@ -79,7 +64,10 @@ def heisenberg_rank(L: LieAlgebra) -> int:
         raise ValueError("algebra is not nilpotent")
     if series.derived_dim != 1:
         raise ValueError(f"heisenberg_rank needs dim L^2 = 1, got {series.derived_dim}")
-    return _rank_from_series(L.dim, series)
+    spread = L.dim - series.center.dim
+    if spread <= 0 or spread % 2 != 0:
+        raise ValueError("center dimension inconsistent with a Heisenberg structure")
+    return spread // 2
 
 
 @dataclass(frozen=True)
@@ -139,7 +127,7 @@ def classify(L: LieAlgebra) -> Classification:
         return Classification(Family.ABELIAN, None, n, n, 0, cls, zdim, 0, n > 1)
 
     if d == 1:
-        m = _rank_from_series(n, series)
+        m = heisenberg_rank(L)
         fam = Family.HEISENBERG
         return Classification(fam, m, n - 2 * m - 1, n, 1, cls, zdim, 2 * m + 1,
                               _capable_by_family(fam, m, n))

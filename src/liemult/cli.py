@@ -226,12 +226,7 @@ def cmd_check(args) -> int:
             else:
                 skipped.append((path.name, "out of scope (dim L^2 > 2), oracle-only"))
     else:
-        try:
-            entries = builtin_suite(prime)
-        except ValueError as exc:
-            _print_err(str(exc))
-            return 1
-        results = run_suite(entries)
+        results = run_suite(builtin_suite(prime))
 
     results.sort(key=lambda r: r.name)
     rule_pass: dict[str, list[int]] = {}
@@ -323,6 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "prime", None) is not None:
+        try:  # a bad --prime is a usage error, caught before any document is read
+            FieldSpec(args.prime)
+        except ValueError as exc:
+            _print_err(str(exc))
+            return 1
     return args.func(args)
 
 

@@ -362,22 +362,6 @@ class Subspace:
             vecs.append(vec)
         return Subspace.span(self.field, self.ambient, vecs)
 
-    def complement_within(self, outer: "Subspace") -> "Subspace":
-        """Greedy W with self + W = outer and self ∩ W = 0.
-
-        Extends self's basis by outer-basis vectors that stay independent.
-        Raises when self is not contained in outer.
-        """
-        self._check_compatible(outer)
-        if not outer.contains_subspace(self):
-            raise ValueError("complement_within requires inner ⊆ outer")
-        acc = EchelonBasis(self.field, self.ambient, self.basis.data)
-        picked = []
-        for row in outer.basis.data:
-            if acc.add(row):
-                picked.append(row)
-        return Subspace.span(self.field, self.ambient, picked)
-
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
             raise ValueError("field mismatch")

@@ -186,12 +186,15 @@ def test_criterion_07_exact_sequence_suite():
         _touch(L)
         d = L.derived_subalgebra().dim
         m = L.dim - d
-        schur = schur_dim_oracle(L)
-        r = oracle_report(L)
-        wedge, tensor = r.exterior, r.tensor
-        assert wedge - schur == d
-        assert tensor - wedge == m * (m + 1) // 2
-    _passed(7, "200 seeded random instances: exterior-schur = dim L^2, tensor-exterior = m(m+1)/2")
+        c = classify(L)
+        r = oracle_report(L)  # one cochain complex: the multiplier is r.schur
+        assert r.exterior - r.schur == d
+        assert r.tensor - r.exterior == m * (m + 1) // 2
+        assert matches(schur_dim(c), r.schur)
+        assert matches(exterior_dim(c), r.exterior)
+        assert matches(tensor_dim(c), r.tensor)
+    _passed(7, "200 seeded random instances: exterior-schur = dim L^2, tensor-exterior = m(m+1)/2, "
+               "and the closed forms match the oracle")
 
 
 _PAIR_POOL = [

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import jacobi_breaker, non_nilpotent, unit
+from conftest import jacobi_breaker, non_nilpotent, rank2_stem_zoo, unit
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg, reduce_mod_p
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -107,6 +107,34 @@ def test_series_flags_non_nilpotent():
     assert not rep.is_nilpotent
     assert rep.nilpotency_class is None
     assert rep.lower_central_dims() == (2, 1)
+
+
+def sl2(field):
+    """e, f, h with [e,f] = h, [e,h] = -2e, [f,h] = 2f: perfect outside char 2."""
+    return LieAlgebra(field, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+
+
+def test_derived_subalgebra_reads_the_series():
+    cases = [LieAlgebra(QQ, 0), abelian(QQ, 3), non_nilpotent(QQ), sl2(QQ), sl2(G5)]
+    cases += [L for _, L in rank2_stem_zoo(QQ)]
+    for L in cases:
+        full = L.full_space()
+        assert L.derived_subalgebra() == L.bracket_span(full, full)
+    for L in (sl2(QQ), sl2(G5)):
+        assert L.validate() == []
+        rep = L.series()
+        assert L.derived_subalgebra() == L.full_space()  # perfect: L^2 = L
+        assert not rep.is_nilpotent
+        assert rep.lower_central_dims() == rep.derived_series_dims() == (3,)
+        assert rep.derived_dim == 3
+
+
+def test_series_is_computed_once():
+    L = l4_3()
+    assert L.series() is L.series()
+    assert L.derived_subalgebra() is L.series().lower_central[1]
+    with pytest.raises(TypeError):
+        L.table[(0, 1)] = (0, 0, 0, 1)
 
 
 def test_quotient_by_zero_is_isomorphic_copy():

@@ -11,6 +11,8 @@ from liemult.fields import gf, rationals
 from liemult.linalg import random_invertible
 
 QQ = rationals()
+G2 = gf(2)
+G3 = gf(3)
 G5 = gf(5)
 
 
@@ -60,8 +62,10 @@ def test_stem_center_is_center_cap_derived():
         direct_sum(heisenberg(QQ, 1), abelian(QQ, 3)),
         make_catalog(CatalogId(Family.L5_5, abelian=2), QQ),
         make_catalog(CatalogId(Family.L6_22, param=1, abelian=1), QQ),
+        make_catalog(CatalogId(Family.L6_7_2, param=1, abelian=1), G2),
+        dict(rank2_stem_zoo(G3))["stem7"],
     ):
-        L = base.change_basis(random_invertible(QQ, base.dim, rng))
+        L = base.change_basis(random_invertible(base.field, base.dim, rng))
         core = L.center().intersect(L.derived_subalgebra())
         d = stem_decompose(L)
         moved, stem = _stem_block(L, d)
@@ -71,10 +75,10 @@ def test_stem_center_is_center_cap_derived():
         pinv = invert(d.basis_change)
         transported = []
         for row in core.basis_rows():
-            new_coords = (Matrix(QQ, [row]) @ pinv).row(0)
+            new_coords = (Matrix(L.field, [row]) @ pinv).row(0)
             assert not any(new_coords[d.stem_dim:])  # lands inside the stem block
             transported.append(new_coords[: d.stem_dim])
-        assert stem.center() == Subspace.span(QQ, d.stem_dim, transported)
+        assert stem.center() == Subspace.span(L.field, d.stem_dim, transported)
         # the abelian block really is central and bracket-free
         assert moved.center().dim >= d.abelian_dim
 

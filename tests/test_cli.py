@@ -176,6 +176,21 @@ def test_report_sweep_error(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_report_rejects_non_prime(tmp_path, capsys):
+    path = write_doc(tmp_path, "l58.json", make_catalog(CatalogId(Family.L5_8), QQ))
+    for bad, message in (
+        ("4", "error: not a prime: 4"),
+        ("-5", "error: not a prime: -5"),
+        (str(2**31 + 11), "error: prime too large"),  # 2^31 + 11 is prime
+    ):
+        assert main(["report", str(path), "--oracle", "--prime", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+    # the prime is checked before the document is read
+    assert main(["report", str(tmp_path / "missing.json"), "--prime", "4"]) == 1
+    assert capsys.readouterr().err == "error: not a prime: 4\n"
+
+
 def test_report_mismatch_exit_code(tmp_path, capsys):
     # the known fingerprint collision: formulas disagree with the brute force
     path = write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
@@ -219,6 +234,14 @@ def test_check_directory_sweep_error(tmp_path, capsys):
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("l58_fifth.json")][0]
     assert "schur=ok" in line and "corank=ok" in line
     assert "capable=" not in line
+
+
+def test_check_rejects_non_prime(tmp_path, capsys):
+    write_doc(tmp_path, "l58.json", make_catalog(CatalogId(Family.L5_8), QQ))
+    for argv in (["check", str(tmp_path)], ["check"], ["catalog", "L5_8"]):
+        assert main([*argv, "--prime", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: not a prime: 4\n"
 
 
 def test_check_directory_flags_mismatch(tmp_path, capsys):

@@ -164,29 +164,6 @@ def test_contains_and_reduce():
     assert s.reduce([3, 0, 6]) == [Fraction(0)] * 3
 
 
-def test_complement_within_trivial_cases():
-    full = Subspace.full(QQ, 3)
-    zero = Subspace.zero(QQ, 3)
-    assert zero.complement_within(full) == full
-    assert full.complement_within(full).dim == 0
-
-
-def test_complement_within_direct_sum():
-    outer = Subspace.span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
-    inner = Subspace.span(QQ, 3, [[1, 1, 0]])
-    w = inner.complement_within(outer)
-    assert w.dim == 1
-    assert inner.sum(w) == outer
-    assert inner.intersect(w).dim == 0
-
-
-def test_complement_containment_checked():
-    inner = Subspace.span(QQ, 3, [[0, 0, 1]])
-    outer = Subspace.span(QQ, 3, [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        inner.complement_within(outer)
-
-
 def test_ambient_mismatch_rejected():
     u = Subspace.full(QQ, 3)
     v = Subspace.full(QQ, 4)

@@ -1,6 +1,7 @@
 import importlib
 import sys
 
+from liemult.algebra import LieAlgebra
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
 from liemult.report import build_report
@@ -16,7 +17,7 @@ def _wrap_everywhere(monkeypatch, module_name, name, make):
 
 
 def test_build_report_computes_each_invariant_once(monkeypatch):
-    calls = {"cochain_complex": 0, "classify": 0}
+    calls = {"cochain_complex": 0, "classify": 0, "center": 0}
 
     def counted(name):
         def make(fn):
@@ -28,11 +29,13 @@ def test_build_report_computes_each_invariant_once(monkeypatch):
 
     _wrap_everywhere(monkeypatch, "liemult.cohomology", "cochain_complex", counted("cochain_complex"))
     _wrap_everywhere(monkeypatch, "liemult.classify", "classify", counted("classify"))
+    monkeypatch.setattr(LieAlgebra, "center", counted("center")(LieAlgebra.center))
 
-    # over GF(5) the epicenter reads L's own complex; over Q it needs the mod-5 reduction's
-    for field, complexes in ((gf(5), 1), (rationals(), 2)):
-        calls.update(cochain_complex=0, classify=0)
+    # over GF(5) the epicenter reads L's own complex; over Q it needs the mod-5
+    # reduction's, and the reduction is a second algebra with its own series
+    for field, algebras in ((gf(5), 1), (rationals(), 2)):
+        calls.update(cochain_complex=0, classify=0, center=0)
         L = make_catalog(CatalogId(Family.L5_8), field)
         report = build_report(L, digest="x", want_oracle=True)
         assert report["ok"] and report["oracle"]["capable"] is True
-        assert calls == {"cochain_complex": complexes, "classify": 1}
+        assert calls == {"cochain_complex": algebras, "classify": 1, "center": algebras}
