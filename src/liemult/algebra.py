@@ -6,13 +6,15 @@ coefficient vectors of [x_i, x_j] for i < j.  Antisymmetry is structural:
 [x_j, x_i] is -[x_i, x_j] by definition and [x_i, x_i] = 0.  The Jacobi
 identity is *checked*, not assumed; :meth:`LieAlgebra.validate` returns
 the list of violating triples, empty exactly when the table is a Lie
-algebra.
+algebra.  The residuals are the nonzero rows of d2·d1 in the cochain
+complex (:func:`liemult.cohomology.jacobi_residuals`), the same identity
+that :func:`~liemult.cohomology.cochain_complex` requires.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
 coordinates of the given basis.  An algebra and its table are read-only,
-so :meth:`LieAlgebra.series` is computed once per algebra and L^2 and
-Z(L) are read from it.
+so :meth:`LieAlgebra.series` and :meth:`LieAlgebra.validate` are each
+computed once per algebra, and L^2 and Z(L) are read from the series.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class JacobiViolation(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("field", "dim", "table", "labels", "_series")
+    __slots__ = ("field", "dim", "table", "labels", "_series", "_violations")
 
     def __init__(
         self,
@@ -68,6 +70,7 @@ class LieAlgebra:
         object.__setattr__(self, "table", MappingProxyType(dict(sorted(table.items()))))
         object.__setattr__(self, "labels", labels or tuple(f"x{i+1}" for i in range(dim)))
         object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "_violations", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -109,23 +112,12 @@ class LieAlgebra:
         return not self.table
 
     def validate(self) -> list[JacobiViolation]:
-        """Jacobi residuals [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] over all triples."""
-        violations = []
-        n = self.dim
-        for i in range(n):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, n):
-                ej = self.basis_vector(j)
-                bij = self.structure_vector(i, j)
-                for k in range(j + 1, n):
-                    ek = self.basis_vector(k)
-                    term = self.bracket(bij, ek)
-                    term2 = self.bracket(self.structure_vector(j, k), ei)
-                    term3 = self.bracket(self.structure_vector(k, i), ej)
-                    residual = tuple(a + b + c for a, b, c in zip(term, term2, term3))
-                    if any(residual):
-                        violations.append(JacobiViolation(i, j, k, residual))
-        return violations
+        """Jacobi residuals, the nonzero rows of d2·d1; computed once and kept."""
+        if self._violations is None:
+            from .cohomology import jacobi_residuals  # cohomology imports this module
+
+            object.__setattr__(self, "_violations", tuple(jacobi_residuals(self)))
+        return list(self._violations)
 
     # -- subspace machinery -------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 Every non-abelian finite-dimensional nilpotent Lie algebra splits as
 T + A with A abelian and T a stem algebra (Z(T) contained in T^2), and
-Z(T) = Z(L) ∩ L^2.  `stem_decompose` realizes the split in one greedy
-pass over L^2, Z(L) and the standard basis, all read from `L.series()`,
-and returns the change of basis.
+Z(T) = Z(L) ∩ L^2.  `stem_decompose` realizes the split with one RREF
+of L^2, Z(L) and the standard basis, all read from `L.series()`, and
+returns the change of basis.
 
 `classify` recognizes algebras with derived subalgebra of dimension at
 most 2 by the invariant tuple (dim L^2, nilpotency class, stem dimension,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra
 from .catalog import Family
-from .linalg import EchelonBasis, Matrix
+from .linalg import Matrix, pivot_columns, rref
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,23 @@ class StemDecomposition:
 def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     """Split L as stem ⊕ central abelian, emitting the basis change.
 
-    One greedy pass, seeded with a basis of L^2: the Z(L) basis rows that
-    stay independent span a complement A' of Z(L) ∩ L^2 in Z(L), the
-    abelian summand; the standard basis vectors that stay independent then
+    A greedy extension, read off the pivot columns of one RREF of the
+    transposed stack [L^2 basis; Z(L) basis; identity]: the Z(L) basis
+    rows that are pivots span a complement A' of Z(L) ∩ L^2 in Z(L), the
+    abelian summand; the standard basis vectors that are pivots then
     complete L^2 to the stem, which is closed under the bracket because it
     contains L^2.  Raises on abelian input, where "stem" would be
     meaningless.
     """
     if L.is_abelian:
         raise ValueError("abelian algebras have no stem decomposition")
-    derived = L.derived_subalgebra()
-    acc = EchelonBasis(L.field, L.dim, derived.basis_rows())
-    abelian_rows = [z for z in L.series().center.basis_rows() if acc.add(z)]
-    stem_rows = list(derived.basis_rows())
-    stem_rows += [e for e in map(L.basis_vector, range(L.dim)) if acc.add(e)]
+    derived = L.derived_subalgebra().basis_rows()
+    centre = L.series().center.basis_rows()
+    d, z = len(derived), len(centre)
+    candidates = derived + centre + Matrix.identity(L.field, L.dim).data
+    picked = pivot_columns(rref(Matrix(L.field, candidates, cols=L.dim).transpose())[0])
+    abelian_rows = [candidates[c] for c in picked if d <= c < d + z]
+    stem_rows = [candidates[c] for c in picked if c < d or c >= d + z]
     rows = stem_rows + abelian_rows
     if len(rows) != L.dim:
         raise AssertionError("basis extension did not reach full dimension")

@@ -181,6 +181,8 @@ def _print_pretty_report(report: dict):
         orc = report["oracle"]
         cap = orc["capable"]
         cap_str = "n/a" if cap is None else f"{cap} (epicenter dim {orc['epicenter_dim']}, GF({orc['epicenter_prime']}))"
+        if "sweep_error" in orc:
+            cap_str += f" ({orc['sweep_error']})"
         print(
             f"oracle   : multiplier {orc['schur']}  exterior {orc['exterior']}"
             f"  tensor {orc['tensor']}  capable {cap_str}"

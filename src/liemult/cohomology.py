@@ -12,9 +12,13 @@ by lexicographic triples (i, j, k), i < j < k.  The differentials for a
     (d1 f)(x, y)    = -f([x, y])
     (d2 w)(x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x)
 
-so d2 . d1 = 0 is exactly the Jacobi identity.  Both that product and
-rank(d1) = dim L^2 are verified on every complex built here; the
-multiplier dimension is then
+so d2 . d1 = 0 is exactly the Jacobi identity: row (i, j, k) of the
+product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
+`jacobi_residuals` computes its nonzero rows, and it is the only Jacobi
+check in the package: `LieAlgebra.validate` keeps its result on the
+algebra, and `cochain_complex` refuses an algebra whose list is not
+empty.  Every complex built here also has rank(d1) = dim L^2 verified;
+the multiplier dimension is then
 
     C(n,2) - rank(d2) - dim L^2.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import LieAlgebra, reduce_mod_p
+from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
 from .linalg import Matrix, Subspace, kernel, pivot_columns, rref
 
 
@@ -63,64 +67,61 @@ def _d1_matrix(L: LieAlgebra, pairs) -> Matrix:
     return Matrix(L.field, rows, cols=L.dim)
 
 
+def _d2_rows(L: LieAlgebra, triples):
+    """Row (i, j, k) of d2 as {pair: coefficient}, nonzero entries only."""
+    for (i, j, k) in triples:
+        row = {}
+        for pair, other, negate in (((i, j), k, True), ((i, k), j, False), ((j, k), i, True)):
+            # adds ±w([..], x_other); w is alternating, so w(x_l, x_other) = -w(x_other, x_l)
+            for l, c in enumerate(L.table.get(pair, ())):
+                if c and l != other:
+                    if negate != (l > other):
+                        c = -c
+                    key = (l, other) if l < other else (other, l)
+                    row[key] = row[key] + c if key in row else c
+        yield {key: c for key, c in row.items() if c}
+
+
 def _d2_matrix(L: LieAlgebra, pairs, triples) -> Matrix:
     zero = L.field.zero
-    idx = {pq: t for t, pq in enumerate(pairs)}
-    ncols = len(pairs)
-    rows = []
-    for (i, j, k) in triples:
-        row = [zero] * ncols
-
-        def accumulate(vec, other, sign):
-            # contributes sign * w([..], x_other) with w alternating
-            for l, c in enumerate(vec):
-                if not c:
-                    continue
-                if l < other:
-                    row[idx[(l, other)]] = row[idx[(l, other)]] + (c if sign > 0 else -c)
-                elif l > other:
-                    row[idx[(other, l)]] = row[idx[(other, l)]] - (c if sign > 0 else -c)
-
-        accumulate(L.structure_vector(i, j), k, -1)
-        accumulate(L.structure_vector(i, k), j, +1)
-        accumulate(L.structure_vector(j, k), i, -1)
-        rows.append(row)
-    return Matrix(L.field, rows, cols=ncols)
+    rows = ([row.get(pq, zero) for pq in pairs] for row in _d2_rows(L, triples))
+    return Matrix(L.field, rows, cols=len(pairs))
 
 
-def _check_d2_d1_zero(L: LieAlgebra, d2: Matrix, pair_index: dict):
+def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
+    """The nonzero rows of d2·d1, indexed by triple.
+
+    Row (i, j, k) is [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  Row (l, m)
+    of d1 is -[x_l, x_m], so the product visits only the d2 entries whose
+    pair has a nonzero bracket.
+    """
     zero = L.field.zero
-    ntriples = d2.rows
-    for k in range(L.dim):
-        acc = [zero] * ntriples
-        touched = False
-        for (i, j), vec in L.table.items():
-            c = vec[k]
-            if not c:
-                continue
-            touched = True
-            col = pair_index[(i, j)]
-            acc = [a - c * d2.data[t][col] for t, a in enumerate(acc)]
-        if touched and any(acc):
-            raise ComplexIntegrityError(
-                "d2 . d1 != 0; the bracket table violates the Jacobi identity"
-            )
-
-
-def cochain_complex(L: LieAlgebra, check: bool = True) -> CochainComplexSlice:
-    """Assemble the degree-(1,2,3) slice; integrity-checked by default."""
-    pairs = pair_basis(L.dim)
+    violations = []
     triples = triple_basis(L.dim)
+    for triple, row in zip(triples, _d2_rows(L, triples)):
+        acc = [zero] * L.dim
+        for pair, c in row.items():
+            vec = L.table.get(pair)
+            if vec is not None:
+                acc = [a - c * b for a, b in zip(acc, vec)]
+        if any(acc):
+            violations.append(JacobiViolation(*triple, tuple(acc)))
+    return violations
+
+
+def cochain_complex(L: LieAlgebra) -> CochainComplexSlice:
+    """Assemble the degree-(1,2,3) slice, integrity-checked."""
+    if L.validate():
+        raise ComplexIntegrityError(
+            "d2 . d1 != 0; the bracket table violates the Jacobi identity"
+        )
+    pairs = pair_basis(L.dim)
     d1 = _d1_matrix(L, pairs)
-    d2 = _d2_matrix(L, pairs, triples)
+    d2 = _d2_matrix(L, pairs, triple_basis(L.dim))
     derived_dim = L.derived_subalgebra().dim
-    if check:
-        _check_d2_d1_zero(L, d2, {pq: t for t, pq in enumerate(pairs)})
-        rank_d1 = rref(d1)[1]
-        if rank_d1 != derived_dim:
-            raise ComplexIntegrityError(
-                f"rank(d1) = {rank_d1} but dim L^2 = {derived_dim}"
-            )
+    rank_d1 = rref(d1)[1]
+    if rank_d1 != derived_dim:
+        raise ComplexIntegrityError(f"rank(d1) = {rank_d1} but dim L^2 = {derived_dim}")
     return CochainComplexSlice(L.dim, d1, d2, derived_dim)
 
 

@@ -151,8 +151,10 @@ class FieldSpec:
         if self.p is None:
             if not _RAT_RE.match(text):
                 raise ValueError(f"not an exact rational literal: {text!r}")
-            value = Fraction(text)
-            return value
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {text!r}") from None
         if not _INT_RE.match(text):
             raise ValueError(f"not an integer literal: {text!r}")
         return Fp(int(text), self.p)

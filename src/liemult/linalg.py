@@ -236,50 +236,6 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(m.field, [row[n:] for row in reduced.data], cols=n)
 
 
-class EchelonBasis:
-    """Incremental row reducer: feed vectors, track an independent echelon set.
-
-    Used for greedy basis extension; rows are kept echelonized (pivot 1,
-    pivots strictly increasing after a final sort) but not fully reduced.
-    """
-
-    def __init__(self, field: FieldSpec, ambient: int, rows: Iterable[Sequence] = ()):
-        self.field = field
-        self.ambient = ambient
-        self._rows: list[tuple[int, list]] = []  # (pivot col, row)
-        for r in rows:
-            self.add(r)
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def residual(self, vec: Sequence) -> list:
-        v = [self.field.of(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        for pc, row in self._rows:
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        """Reduce vec against the current set; add if independent."""
-        v = self.residual(vec)
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        piv = v[pc]
-        v = [x / piv for x in v]
-        self._rows.append((pc, v))
-        self._rows.sort(key=lambda t: t[0])
-        return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.residual(vec))
-
-
 class Subspace:
     """A subspace of F^ambient with a canonical (RREF) basis."""
 

@@ -2,7 +2,9 @@
 
 The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
-`sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`.
+`sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
+and `jacobi_residuals_by_brackets` the bracket-based reference for
+`LieAlgebra.validate`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from liemult import LieAlgebra, direct_sum, heisenberg
+from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
 from liemult.linalg import Subspace
@@ -140,3 +143,23 @@ def sweep_epicenter(L: LieAlgebra) -> Subspace:
             f"found, a {span.dim}-dim subspace has {expected}"
         )
     return span
+
+
+def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
+    """[[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] over all triples, by brackets."""
+    violations = []
+    n = L.dim
+    for i in range(n):
+        ei = L.basis_vector(i)
+        for j in range(i + 1, n):
+            ej = L.basis_vector(j)
+            bij = L.structure_vector(i, j)
+            for k in range(j + 1, n):
+                ek = L.basis_vector(k)
+                term = L.bracket(bij, ek)
+                term2 = L.bracket(L.structure_vector(j, k), ei)
+                term3 = L.bracket(L.structure_vector(k, i), ej)
+                residual = tuple(a + b + c for a, b, c in zip(term, term2, term3))
+                if any(residual):
+                    violations.append(JacobiViolation(i, j, k, residual))
+    return violations

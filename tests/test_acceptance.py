@@ -277,7 +277,7 @@ def test_criterion_10_harness_integrity():
     else:
         assert len(population) >= 250
     for L in population:
-        cc = cochain_complex(L, check=False)
+        cc = cochain_complex(L)
         assert (cc.d2 @ cc.d1).is_zero()
         assert rref(cc.d1)[1] == L.derived_subalgebra().dim
     _passed(10, f"d2.d1 = 0 and rank(d1) = dim L^2 re-verified on {len(population)} touched algebras")

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import jacobi_breaker, non_nilpotent, rank2_stem_zoo, unit
+from conftest import jacobi_breaker, jacobi_residuals_by_brackets, non_nilpotent, rank2_stem_zoo, unit
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg, reduce_mod_p
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -62,6 +64,54 @@ def test_validate_detects_violation():
     v = violations[0]
     assert (v.i, v.j, v.k) == (0, 1, 2)
     assert any(v.residual)
+
+
+def _random_table(field, n, rng, two_step):
+    """Random small brackets; a two-step table is always a Lie algebra.
+
+    A two-step table brackets the first g generators into the last n - g
+    coordinates, so every double bracket vanishes; otherwise each pair gets
+    a random vector with probability 1/2, which rarely satisfies Jacobi.
+    """
+    entries = range(field.p) if field.is_prime_field else (-2, -1, 0, 0, 1, 2, Fraction(1, 2))
+    g = rng.randrange(n + 1) if two_step else n  # generators with brackets
+    low = g if two_step else 0  # coordinates kept zero
+    table = {
+        pq: [0] * low + [rng.choice(entries) for _ in range(n - low)]
+        for pq in combinations(range(g), 2)
+        if rng.randrange(2)
+    }
+    return LieAlgebra(field, n, table)
+
+
+def test_validate_matches_bracket_reference():
+    # values and order of the d2·d1 rows against the triple loop over brackets
+    rng = random.Random(20261018)
+    invalid = total = 0
+    for field in (QQ, gf(2), gf(3), G5):
+        for n in range(8):
+            for case in range(6):
+                L = _random_table(field, n, rng, two_step=case % 3 == 0)
+                if case % 2:
+                    L = L.change_basis(random_invertible(field, n, rng))
+                expected = jacobi_residuals_by_brackets(L)
+                assert L.validate() == expected, (field, n, case)
+                invalid += bool(expected)
+                total += 1
+    assert min(invalid, total - invalid) >= 50  # both kinds are well represented
+
+
+def test_validate_is_computed_once(monkeypatch):
+    import liemult.cohomology as cohomology
+
+    calls = []
+    real = cohomology.jacobi_residuals
+    monkeypatch.setattr(cohomology, "jacobi_residuals", lambda L: calls.append(L) or real(L))
+    bad = jacobi_breaker(G5)
+    first = bad.validate()
+    first.clear()  # the caller's copy; the kept list is unaffected
+    assert bad.validate() == jacobi_residuals_by_brackets(bad) != []
+    assert calls == [bad]
 
 
 def test_bracket_span_cases():

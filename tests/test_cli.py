@@ -13,6 +13,9 @@ from liemult.document import dumps_algebra, loads_algebra
 from liemult.fields import gf, rationals
 
 QQ = rationals()
+ZERO_DENOMINATOR_DOC = json.dumps(
+    {"field": "rationals", "dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "0", "1/0"]}]}
+)
 
 
 def write_doc(tmp_path, name, algebra):
@@ -52,6 +55,18 @@ def test_validate_parse_error(tmp_path, capsys):
     path2.write_text(json.dumps(doc))
     assert main(["validate", str(path2)]) == 1
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
+
+
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(ZERO_DENOMINATOR_DOC)
+    for command in ("validate", "report"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parse: bracket (1, 2): zero denominator: '1/0'\n"
+    assert main(["catalog", "L6_22", "--eps", "1/0"]) == 1
+    assert capsys.readouterr().err == "error: zero denominator: '1/0'\n"
 
 
 # -- catalog ------------------------------------------------------------------
@@ -209,6 +224,29 @@ def test_report_pretty(tmp_path, capsys):
     assert "rule capable-L5_8" in out
 
 
+def test_report_pretty_sweep_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "l58_fifth.json", fifth_scaled_l58(QQ))
+    assert main(["report", str(path), "--oracle", "--pretty"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle   :")][0]
+    assert line.endswith("capable n/a (coefficient 1/5 has denominator divisible by 5)")
+
+
+def test_report_computes_jacobi_residuals_once(tmp_path, capsys, monkeypatch):
+    import liemult.cohomology as cohomology
+
+    seen = []
+    real = cohomology.jacobi_residuals
+    monkeypatch.setattr(cohomology, "jacobi_residuals", lambda L: seen.append(L) or real(L))
+    path = write_doc(tmp_path, "l58.json", make_catalog(CatalogId(Family.L5_8, abelian=1), gf(5)))
+    assert main(["report", str(path), "--oracle"]) == 0
+    assert len(seen) == 1
+    seen.clear()
+    # the original table and its basis change are two algebras
+    assert main(["report", str(path), "--oracle", "--randomize-basis", "--seed", "3"]) == 0
+    assert len(seen) == 2 and seen[0] is not seen[1]
+    capsys.readouterr()
+
+
 def test_report_jacobi_failure(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json", jacobi_breaker(QQ))
     assert main(["report", str(path)]) == 2
@@ -234,6 +272,17 @@ def test_check_directory_sweep_error(tmp_path, capsys):
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("l58_fifth.json")][0]
     assert "schur=ok" in line and "corank=ok" in line
     assert "capable=" not in line
+
+
+def test_check_directory_zero_denominator(tmp_path, capsys):
+    write_doc(tmp_path, "a_l43.json", make_catalog(CatalogId(Family.L4_3), QQ))
+    (tmp_path / "b_zero.json").write_text(ZERO_DENOMINATOR_DOC)
+    write_doc(tmp_path, "c_h2.json", make_catalog(CatalogId(Family.HEISENBERG, rank=2), gf(5)))
+    assert main(["check", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "b_zero.json: parse error: bracket (1, 2): zero denominator: '1/0'" in out
+    assert "a_l43.json" in out and "c_h2.json" in out
+    assert "total: 2/2 algebras ok" in out
 
 
 def test_check_rejects_non_prime(tmp_path, capsys):

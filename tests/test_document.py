@@ -87,6 +87,11 @@ def test_scalars_are_strings_and_exact():
     assert ok.table[(0, 1)][2] == QQ.parse("-3/4")
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(DocumentError, match=r"bracket \(1, 2\): zero denominator"):
+        algebra_from_document(_doc([{"i": 1, "j": 2, "coeffs": ["0", "0", "1/0"]}]))
+
+
 def test_top_level_strictness():
     with pytest.raises(DocumentError):
         algebra_from_document({"field": "rationals", "dim": 2, "extra": 1})

@@ -31,6 +31,12 @@ def test_rational_parse_rejects_floats():
             q.parse(bad)
 
 
+def test_rational_parse_rejects_zero_denominator():
+    for bad in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rationals().parse(bad)
+
+
 def test_rational_lowest_terms():
     q = rationals()
     x = q.parse("6/4")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from liemult.fields import gf, rationals
 from liemult.linalg import (
-    EchelonBasis,
     Matrix,
     Subspace,
     invert,
@@ -171,15 +170,6 @@ def test_ambient_mismatch_rejected():
         u.sum(v)
     with pytest.raises(ValueError):
         u.intersect(v)
-
-
-def test_echelon_basis_accumulator():
-    acc = EchelonBasis(QQ, 3, [[1, 0, 0]])
-    assert not acc.add([2, 0, 0])
-    assert acc.add([1, 1, 0])
-    assert acc.rank == 2
-    assert acc.contains([5, 3, 0])
-    assert not acc.contains([0, 0, 1])
 
 
 # -- the prime-field fast path vs an independent reference --------------------
