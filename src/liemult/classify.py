@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra
 from .catalog import Family
-from .linalg import Matrix, pivot_columns, rref
+from .linalg import Matrix, rref
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     centre = L.series().center.basis_rows()
     d, z = len(derived), len(centre)
     candidates = derived + centre + Matrix.identity(L.field, L.dim).data
-    picked = pivot_columns(rref(Matrix(L.field, candidates, cols=L.dim).transpose())[0])
+    picked = rref(Matrix(L.field, candidates, cols=L.dim).transpose())[1]
     abelian_rows = [candidates[c] for c in picked if d <= c < d + z]
     stem_rows = [candidates[c] for c in picked if c < d or c >= d + z]
     rows = stem_rows + abelian_rows

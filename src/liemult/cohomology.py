@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, kernel, pivot_columns, rref
+from .linalg import Matrix, Subspace, kernel, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -119,7 +119,7 @@ def cochain_complex(L: LieAlgebra) -> CochainComplexSlice:
     d1 = _d1_matrix(L, pairs)
     d2 = _d2_matrix(L, pairs, triple_basis(L.dim))
     derived_dim = L.derived_subalgebra().dim
-    rank_d1 = rref(d1)[1]
+    rank_d1 = len(rref(d1)[1])
     if rank_d1 != derived_dim:
         raise ComplexIntegrityError(f"rank(d1) = {rank_d1} but dim L^2 = {derived_dim}")
     return CochainComplexSlice(L.dim, d1, d2, derived_dim)
@@ -128,12 +128,12 @@ def cochain_complex(L: LieAlgebra) -> CochainComplexSlice:
 def schur_dim_oracle(L: LieAlgebra) -> int:
     """dim of the multiplier: C(n,2) - rank(d2) - dim L^2."""
     cc = cochain_complex(L)
-    rank_d2 = rref(cc.d2)[1]
+    rank_d2 = len(rref(cc.d2)[1])
     npairs = cc.d2.cols
     return npairs - rank_d2 - cc.derived_dim
 
 
-def _exterior_centre(L: LieAlgebra, reduced: Matrix, rank: int) -> Subspace:
+def _exterior_centre(L: LieAlgebra, reduced: Matrix, pivots: tuple[int, ...]) -> Subspace:
     """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the RREF of d2.
 
     L∧L has coordinates on the q free columns of `reduced`: a pair column
@@ -145,7 +145,7 @@ def _exterior_centre(L: LieAlgebra, reduced: Matrix, rank: int) -> Subspace:
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
     n, field = L.dim, L.field
-    pivot_row = dict(zip(pivot_columns(reduced), reduced.data[:rank]))
+    pivot_row = dict(zip(pivots, reduced.data))
     free = [c for c in range(reduced.cols) if c not in pivot_row]
     if not free:
         return Subspace.full(field, n)
@@ -200,16 +200,16 @@ def oracle_report(L: LieAlgebra, capability_prime: int | None = None) -> OracleR
     records the reason.
     """
     cc = cochain_complex(L)
-    reduced, rank = rref(cc.d2)
+    reduced, pivots = rref(cc.d2)
     d = cc.derived_dim
-    schur = cc.d2.cols - rank - d
+    schur = cc.d2.cols - len(pivots) - d
     if d > 2:
         return OracleReport(schur, None, None, None, None, None)
     exterior = schur + d
     m = L.dim - d
     tensor = exterior + m * (m + 1) // 2
     if L.field.is_prime_field:
-        epi = _exterior_centre(L, reduced, rank).dim
+        epi = _exterior_centre(L, reduced, pivots).dim
         return OracleReport(schur, exterior, tensor, L.field.p, epi, epi == 0)
     if capability_prime is None:
         return OracleReport(schur, exterior, tensor, None, None, None)

@@ -8,14 +8,21 @@ Conventions used throughout the package:
 * a :class:`Subspace` stores its basis in reduced row echelon form, which
   makes the representation canonical (equal subspaces compare equal).
 
-Everything is exact.  Rational elimination runs on ``Fraction`` entries;
-prime-field elimination round-trips through an int64 numpy array reduced
-mod p (integers only, values stay below p^2, so no overflow and no
-floating point).
+Everything is exact.  ``rref`` returns the reduced matrix with its pivot
+columns, which every caller reads instead of rescanning the rows.
+Rational elimination clears each row's denominators and runs fraction-free
+Gauss-Jordan on Python ints (Bareiss, Math. Comp. 1968), keeping each row
+primitive by dividing out the gcd of its entries in place of Bareiss's
+exact division; ``Fraction`` entries are created only by the final
+division of each pivot row by its pivot.  Prime-field elimination
+round-trips through an int64 numpy array reduced mod p (integers only,
+values stay below p^2, so no overflow and no floating point).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,16 +63,6 @@ class Matrix:
         zero = field.zero
         return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def stack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        if not mats:
-            raise ValueError("nothing to stack")
-        field, cols = mats[0].field, mats[0].cols
-        if any(m.field != field or m.cols != cols for m in mats):
-            raise ValueError("stack requires equal fields and column counts")
-        rows = [row for m in mats for row in m.data]
-        return cls(field, rows, cols=cols)
-
     def row(self, i: int) -> tuple:
         return self.data[i]
 
@@ -96,9 +93,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
 
-    def neg(self) -> "Matrix":
-        return Matrix(self.field, [[-x for x in row] for row in self.data], cols=self.cols)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -123,34 +117,52 @@ def _dot(u, v, zero):
     return acc
 
 
-def _rref_rational(grid: list[list], cols: int) -> tuple[list[list], list[int]]:
+def _rref_rational(grid: Sequence[Sequence], cols: int) -> tuple[list[list], list[int]]:
+    """Fraction-free Gauss-Jordan: integer rows, one division per pivot row.
+
+    Each row is scaled by the lcm of its denominators and kept primitive
+    (divided by the gcd of its entries), so it stays a nonzero multiple
+    of the row that elimination on Fractions would hold, and the same
+    pivots are chosen.  Dividing each pivot row by its pivot at the end
+    gives the canonical RREF.
+    """
+    rows = []
+    for row in grid:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios]
+        g = gcd(*ints)
+        rows.append([x // g for x in ints] if g > 1 else ints)
     pivots: list[int] = []
     r = 0
-    nrows = len(grid)
+    nrows = len(rows)
     for c in range(cols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if grid[i][c]), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            grid[r], grid[pr] = grid[pr], grid[r]
-        piv = grid[r][c]
-        if piv != 1:
-            grid[r] = [x / piv for x in grid[r]]
-        prow = grid[r]
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        piv = prow[c]
         for i in range(nrows):
-            if i == r:
-                continue
-            f = grid[i][c]
-            if f:
-                grid[i] = [x - f * y for x, y in zip(grid[i], prow)]
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(piv, f)
+                a, f = piv // g, f // g
+                new = [a * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return grid, pivots
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+    out.extend([zero] * cols for _ in range(nrows - r))
+    return out, pivots
 
 
-def _rref_prime(grid: list[list], cols: int, p: int) -> tuple[list[list], list[int]]:
+def _rref_prime(grid: Sequence[Sequence], cols: int, p: int) -> tuple[list[list], list[int]]:
     from .fields import Fp
 
     a = np.array([[x.val for x in row] for row in grid], dtype=np.int64)
@@ -180,34 +192,24 @@ def _rref_prime(grid: list[list], cols: int, p: int) -> tuple[list[list], list[i
     return out, pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.  Shape is preserved."""
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns; the rank is their number.
+
+    Shape is preserved: the pivot rows come first, then the zero rows.
+    """
     if m.rows == 0 or m.cols == 0:
-        return m, 0
-    grid = [list(row) for row in m.data]
+        return m, ()
     if m.field.is_prime_field:
-        grid, pivots = _rref_prime(grid, m.cols, m.field.p)
+        grid, pivots = _rref_prime(m.data, m.cols, m.field.p)
     else:
-        grid, pivots = _rref_rational(grid, m.cols)
-    return Matrix(m.field, grid, cols=m.cols), len(pivots)
-
-
-def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
-    """Pivot column indices of a matrix already in RREF."""
-    pivots = []
-    for row in reduced.data:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    return tuple(pivots)
+        grid, pivots = _rref_rational(m.data, m.cols)
+    return Matrix(m.field, grid, cols=m.cols), tuple(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m @ x^T = 0} as a Subspace of F^cols."""
-    reduced, rank = rref(m)
+    reduced, pivots = rref(m)
     n = m.cols
-    pivots = pivot_columns(reduced)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     zero, one = m.field.zero, m.field.one
@@ -230,8 +232,8 @@ def invert(m: Matrix) -> Matrix:
         return m
     eye = Matrix.identity(m.field, n)
     aug = Matrix(m.field, [list(r) + list(e) for r, e in zip(m.data, eye.data)], cols=2 * n)
-    reduced, _ = rref(aug)
-    if pivot_columns(reduced)[:n] != tuple(range(n)):
+    reduced, pivots = rref(aug)
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
     return Matrix(m.field, [row[n:] for row in reduced.data], cols=n)
 
@@ -255,9 +257,9 @@ class Subspace:
         m = Matrix(field, vectors, cols=ambient)
         if m.cols != ambient:
             raise ValueError(f"vectors of length {m.cols} in ambient dimension {ambient}")
-        reduced, rank = rref(m)
-        basis = Matrix(field, reduced.data[:rank], cols=ambient)
-        return cls(field, ambient, basis, pivot_columns(basis))
+        reduced, pivots = rref(m)
+        basis = Matrix(field, reduced.data[: len(pivots)], cols=ambient)
+        return cls(field, ambient, basis, pivots)
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -291,32 +293,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return all(self.contains(r) for r in other.basis.data)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.span(self.field, self.ambient, self.basis.data + other.basis.data)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel-of-stacked-bases intersection.
-
-        (a, b) with a@U - b@V = 0 range over the left kernel of the stack
-        [U; -V]; each such a@U is an intersection vector.
-        """
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        stacked = Matrix.stack([self.basis, other.basis.neg()])
-        coeffs = kernel(stacked.transpose())
-        vecs = []
-        zero = self.field.zero
-        for c in coeffs.basis.data:
-            a = c[: self.dim]
-            vec = [zero] * self.ambient
-            for coef, row in zip(a, self.basis.data):
-                if coef:
-                    vec = [x + coef * y for x, y in zip(vec, row)]
-            vecs.append(vec)
-        return Subspace.span(self.field, self.ambient, vecs)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:

@@ -3,8 +3,11 @@
 The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
 `sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
-and `jacobi_residuals_by_brackets` the bracket-based reference for
-`LieAlgebra.validate`.
+`jacobi_residuals_by_brackets` the bracket-based reference for
+`LieAlgebra.validate`, and `rref_by_fractions` the elimination on
+`Fraction` entries that `linalg.rref` replaced over Q.  `subspace_sum` and
+`intersect` are the subspace operations the tests need and the package
+does not.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from liemult import LieAlgebra, direct_sum, heisenberg
 from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
-from liemult.linalg import Subspace
+from liemult.linalg import Matrix, Subspace, kernel
 
 
 def unit(n: int, k: int):
@@ -163,3 +166,60 @@ def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
                 if any(residual):
                     violations.append(JacobiViolation(i, j, k, residual))
     return violations
+
+
+def rref_by_fractions(grid: list[list], cols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan on Fraction entries: (reduced rows, pivot columns)."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(grid)
+    for c in range(cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if grid[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            grid[r], grid[pr] = grid[pr], grid[r]
+        piv = grid[r][c]
+        if piv != 1:
+            grid[r] = [x / piv for x in grid[r]]
+        prow = grid[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = grid[i][c]
+            if f:
+                grid[i] = [x - f * y for x, y in zip(grid[i], prow)]
+        pivots.append(c)
+        r += 1
+    return grid, pivots
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    """u + v, the span of both bases."""
+    return Subspace.span(u.field, u.ambient, u.basis.data + v.basis.data)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u ∩ v by the kernel of the stacked bases.
+
+    (a, b) with a@U - b@V = 0 range over the left kernel of the stack
+    [U; -V]; each such a@U is an intersection vector.
+    """
+    if u.field != v.field or u.ambient != v.ambient:
+        raise ValueError("intersect needs subspaces of one field and ambient dimension")
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(u.field, u.ambient)
+    negated = [[-x for x in row] for row in v.basis.data]
+    stacked = Matrix(u.field, list(u.basis.data) + negated, cols=u.ambient)
+    coeffs = kernel(stacked.transpose())
+    vecs = []
+    zero = u.field.zero
+    for c in coeffs.basis.data:
+        vec = [zero] * u.ambient
+        for coef, row in zip(c[: u.dim], u.basis.data):
+            if coef:
+                vec = [x + coef * y for x, y in zip(vec, row)]
+        vecs.append(vec)
+    return Subspace.span(u.field, u.ambient, vecs)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
+from conftest import intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -66,7 +66,7 @@ def test_stem_center_is_center_cap_derived():
         dict(rank2_stem_zoo(G3))["stem7"],
     ):
         L = base.change_basis(random_invertible(base.field, base.dim, rng))
-        core = L.center().intersect(L.derived_subalgebra())
+        core = intersect(L.center(), L.derived_subalgebra())
         d = stem_decompose(L)
         moved, stem = _stem_block(L, d)
         assert stem.validate() == []

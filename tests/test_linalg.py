@@ -4,16 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import intersect, rref_by_fractions, subspace_sum
+
+from liemult import heisenberg
+from liemult.catalog import CatalogId, Family, make_catalog
+from liemult.cohomology import cochain_complex
 from liemult.fields import gf, rationals
-from liemult.linalg import (
-    Matrix,
-    Subspace,
-    invert,
-    kernel,
-    pivot_columns,
-    random_invertible,
-    rref,
-)
+from liemult.linalg import Matrix, Subspace, invert, kernel, random_invertible, rref
 
 QQ = rationals()
 G5 = gf(5)
@@ -39,20 +36,20 @@ def matrices(entries, field):
 
 def test_rref_identity():
     m = Matrix.identity(QQ, 3)
-    reduced, rank = rref(m)
-    assert reduced == m and rank == 3
+    reduced, pivots = rref(m)
+    assert reduced == m and pivots == (0, 1, 2)
 
 
 def test_rref_zero():
     m = Matrix.zeros(QQ, 2, 4)
-    reduced, rank = rref(m)
-    assert reduced == m and rank == 0
+    reduced, pivots = rref(m)
+    assert reduced == m and pivots == ()
 
 
 def test_rref_dependent_rows():
     m = Matrix(QQ, [[1, 2], [2, 4]])
-    reduced, rank = rref(m)
-    assert rank == 1
+    reduced, pivots = rref(m)
+    assert pivots == (0,)
     assert reduced == Matrix(QQ, [[1, 2], [0, 0]])
 
 
@@ -83,23 +80,22 @@ def test_invert_round_trip_and_singular():
 @settings(max_examples=60, deadline=None)
 @given(matrices(rational_entries, QQ))
 def test_rank_nullity_rational(m):
-    _, rank = rref(m)
-    assert rank + kernel(m).dim == m.cols
+    _, pivots = rref(m)
+    assert len(pivots) + kernel(m).dim == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(residue_entries, G5))
 def test_rank_nullity_prime(m):
-    _, rank = rref(m)
-    assert rank + kernel(m).dim == m.cols
+    _, pivots = rref(m)
+    assert len(pivots) + kernel(m).dim == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(rational_entries, QQ))
 def test_rref_idempotent(m):
-    reduced, rank = rref(m)
-    again, rank2 = rref(reduced)
-    assert again == reduced and rank2 == rank
+    reduced, pivots = rref(m)
+    assert rref(reduced) == (reduced, pivots)
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,7 +123,7 @@ def test_kernel_annihilates_rational(m):
 def test_grassmann_identity(urows, vrows):
     u = Subspace.span(QQ, 4, urows)
     v = Subspace.span(QQ, 4, vrows)
-    assert u.dim + v.dim == u.sum(v).dim + u.intersect(v).dim
+    assert u.dim + v.dim == subspace_sum(u, v).dim + intersect(u, v).dim
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -137,16 +133,16 @@ def test_subspace_sum_intersect_examples():
     e2 = [0, 1, 0]
     u = Subspace.span(QQ, 3, [e1])
     v = Subspace.span(QQ, 3, [e2])
-    assert u.sum(v).dim == 2
-    assert u.intersect(v).dim == 0
-    assert u.sum(u) == u
-    assert u.intersect(u) == u
+    assert subspace_sum(u, v).dim == 2
+    assert intersect(u, v).dim == 0
+    assert subspace_sum(u, u) == u
+    assert intersect(u, u) == u
 
 
 def test_intersection_content():
     u = Subspace.span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     v = Subspace.span(QQ, 3, [[0, 1, 0], [0, 0, 1]])
-    w = u.intersect(v)
+    w = intersect(u, v)
     assert w == Subspace.span(QQ, 3, [[0, 1, 0]])
 
 
@@ -167,9 +163,9 @@ def test_ambient_mismatch_rejected():
     u = Subspace.full(QQ, 3)
     v = Subspace.full(QQ, 4)
     with pytest.raises(ValueError):
-        u.sum(v)
+        u.contains_subspace(v)
     with pytest.raises(ValueError):
-        u.intersect(v)
+        v.contains_subspace(u)
 
 
 # -- the prime-field fast path vs an independent reference --------------------
@@ -203,11 +199,64 @@ def test_prime_rref_matches_reference():
             c = rng.randrange(1, 7)
             rows = [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
             m = Matrix(field, rows, cols=c)
-            _, rank = rref(m)
-            assert rank == _reference_rank_mod_p(rows, p)
+            _, pivots = rref(m)
+            assert len(pivots) == _reference_rank_mod_p(rows, p)
 
 
 def test_pivot_columns_shape():
-    reduced, rank = rref(Matrix(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]]))
-    assert pivot_columns(reduced) == (1, 2)
-    assert rank == 2
+    reduced, pivots = rref(Matrix(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]]))
+    assert pivots == (1, 2)
+    assert reduced == Matrix(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+# -- integer elimination over Q vs elimination on Fractions -------------------
+
+def _wide_scalar(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-3, 3))
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
+def _wide_rational_matrix(rng):
+    """Wide numerators and denominators, with zero, duplicate and dependent rows."""
+    r, c = rng.randrange(1, 9), rng.randrange(1, 9)
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * c)
+        elif rows and kind < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.45:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = _wide_scalar(rng), _wide_scalar(rng)
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append([_wide_scalar(rng) for _ in range(c)])
+    return Matrix(QQ, rows, cols=c)
+
+
+def test_rref_rational_matches_fraction_reference():
+    rng = random.Random(2024)
+    cases = [_wide_rational_matrix(rng) for _ in range(190)]
+    cases += [Matrix(QQ, [], cols=k) for k in range(4)]  # 0 x k
+    cases += [Matrix(QQ, [[]] * k, cols=0) for k in range(1, 4)]  # k x 0
+    cases += [
+        Matrix(QQ, [[-2, 4, 1], [0, -3, 5], [-4, 8, 2]]),  # negative pivots, a duplicate up to scale
+        Matrix(QQ, [[0, 0], [0, -7], [0, 0]]),
+        Matrix(QQ, [[Fraction(-10**12, 999983), 1], [1, Fraction(1, 10**6)]]),
+    ]
+    for base in (
+        heisenberg(QQ, 5),
+        make_catalog(CatalogId(Family.L6_22, param=1, abelian=2), QQ),
+    ):
+        L = base.change_basis(random_invertible(QQ, base.dim, rng))
+        cases.append(cochain_complex(L).d2)
+    for m in cases:
+        grid, pivots = rref_by_fractions([list(row) for row in m.data], m.cols)
+        reduced, got = rref(m)
+        assert got == tuple(pivots)
+        assert reduced == Matrix(QQ, grid, cols=m.cols)
+        assert all(type(x) is Fraction for row in reduced.data for x in row)
