@@ -10,6 +10,12 @@ algebra.  The residuals are the nonzero rows of d2·d1 in the cochain
 complex (:func:`liemult.cohomology.jacobi_residuals`), the same identity
 that :func:`~liemult.cohomology.cochain_complex` requires.
 
+Every bracket comes from :meth:`LieAlgebra.ad`, the n x n matrix of
+x ↦ [x, v] built in one pass over the table: ``bracket(u, v)`` is
+``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
+``P @ ad(p_j)``, and Z(L) is the :func:`~liemult.linalg.annihilator` of
+the maps ``ad(x_j)``.  L^2 is the span of the table's own vectors.
+
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
 coordinates of the given basis.  An algebra and its table are read-only,
@@ -24,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, invert, kernel
+from .linalg import Matrix, Subspace, annihilator, invert
 
 
 class JacobiViolation(NamedTuple):
@@ -91,17 +97,20 @@ class LieAlgebra:
             return (self.field.zero,) * self.dim
         return tuple(-x for x in vec)
 
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """Bilinear extension of the table to coordinate vectors."""
-        zero = self.field.zero
-        out = [zero] * self.dim
-        u = [self.field.of(x) for x in u]
+    def ad(self, v: Sequence) -> Matrix:
+        """The n x n matrix of x ↦ [x, v]: row i is [x_i, v]."""
+        n = self.dim
         v = [self.field.of(x) for x in v]
+        rows = [[self.field.zero] * n for _ in range(n)]
         for (i, j), vec in self.table.items():
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef:
-                out = [a + coef * b for a, b in zip(out, vec)]
-        return tuple(out)
+            for r, c in ((i, v[j]), (j, -v[i])):
+                if c:
+                    rows[r] = [a + c * b for a, b in zip(rows[r], vec)]
+        return Matrix(self.field, rows, cols=n)
+
+    def bracket(self, u: Sequence, v: Sequence) -> tuple:
+        """Bilinear extension of the table to coordinate vectors: u @ ad(v)."""
+        return (Matrix(self.field, [u], cols=self.dim) @ self.ad(v)).row(0)
 
     def basis_vector(self, i: int) -> tuple:
         zero, one = self.field.zero, self.field.one
@@ -128,7 +137,7 @@ class LieAlgebra:
         """Span of [a, b] over basis vectors a of u, b of v."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("subspace ambient dimension must match the algebra")
-        vecs = [self.bracket(a, b) for a in u.basis_rows() for b in v.basis_rows()]
+        vecs = [r for b in v.basis_rows() for r in (u.basis @ self.ad(b)).data]
         return Subspace.span(self.field, self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:
@@ -137,28 +146,9 @@ class LieAlgebra:
         return lower[min(1, len(lower) - 1)]
 
     def center(self) -> Subspace:
-        """Kernel of the stacked adjoint equations sum_i z_i c_{ij}^k = 0."""
-        n = self.dim
-        zero = self.field.zero
-        rows: dict[tuple[int, int], list] = {}
-
-        def row_for(key):
-            if key not in rows:
-                rows[key] = [zero] * n
-            return rows[key]
-
-        for (a, b), vec in self.table.items():
-            for k, coef in enumerate(vec):
-                if not coef:
-                    continue
-                r = row_for((b, k))
-                r[a] = r[a] + coef
-                r = row_for((a, k))
-                r[b] = r[b] - coef
-        if not rows:
-            return self.full_space()
-        eqs = Matrix(self.field, [rows[key] for key in sorted(rows)], cols=n)
-        return kernel(eqs)
+        """Z(L): the annihilator of the maps ad(x_j)."""
+        maps = [self.ad(self.basis_vector(j)).data for j in range(self.dim)]
+        return annihilator(self.field, self.dim, maps)
 
     def series(self) -> "SeriesReport":
         """Lower central series, derived series, center, nilpotency class.
@@ -169,13 +159,12 @@ class LieAlgebra:
             return self._series
         full = self.full_space()
         lower = [full]
-        while True:
-            nxt = self.bracket_span(lower[-1], full)
-            if nxt.dim == lower[-1].dim:
-                break  # stabilized; nilpotent only if already zero
+        nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
+        while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
                 break
+            nxt = self.bracket_span(nxt, full)
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
@@ -227,15 +216,13 @@ class LieAlgebra:
         if p.shape != (self.dim, self.dim):
             raise ValueError("basis change must be square of matching size")
         pinv = invert(p)  # raises on singular input
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                old = self.bracket(p.row(i), p.row(j))
-                new = Matrix(self.field, [old], cols=self.dim) @ pinv
-                vec = new.row(0)
-                if any(vec):
-                    table[(i, j)] = vec
-        return LieAlgebra(self.field, self.dim, table)
+        n = self.dim
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        old = []  # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
+        for j in range(n):
+            old.extend((Matrix(self.field, p.data[:j], cols=n) @ self.ad(p.row(j))).data)
+        new = Matrix(self.field, old, cols=n) @ pinv
+        return LieAlgebra(self.field, n, dict(zip(pairs, new.data)))
 
 
 @dataclass(frozen=True)

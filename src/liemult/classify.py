@@ -111,7 +111,7 @@ _ALWAYS_CAPABLE = (Family.L4_3, Family.L5_5, Family.L5_8, Family.L6_22, Family.L
 
 def _capable_by_family(family: Family, rank: int | None, n: int) -> bool:
     if family is Family.ABELIAN:
-        return n > 1
+        return n != 1  # A(0) = A(1)/Z(A(1)); A(1) is the one abelian non-capable algebra
     if family is Family.HEISENBERG:
         return rank == 1
     return family in _ALWAYS_CAPABLE
@@ -127,7 +127,8 @@ def classify(L: LieAlgebra) -> Classification:
     zdim = series.center.dim
 
     if d == 0:
-        return Classification(Family.ABELIAN, None, n, n, 0, cls, zdim, 0, n > 1)
+        fam = Family.ABELIAN
+        return Classification(fam, None, n, n, 0, cls, zdim, 0, _capable_by_family(fam, None, n))
 
     if d == 1:
         m = heisenberg_rank(L)

@@ -26,10 +26,11 @@ The row space of d2 is im ∂₃ in Λ²L, so the nonabelian exterior square
 is L∧L = Λ²L / rowspace(d2) (Ellis), of dimension q = C(n,2) - rank(d2).
 The epicenter Z*(L) equals the exterior centre
 Z^∧(L) = {x : x∧y = 0 in L∧L for all y} (Niroomand, Parvizi and Russo,
-J. Algebra 2013), which is the kernel of one n x n·q matrix built from
-the RREF of d2: a polynomial computation over any field.  The result is
-checked to lie in Z(L), which it must when d2 is the complex of a Lie
-algebra.
+J. Algebra 2013).  It is the :func:`~liemult.linalg.annihilator` of the
+n maps x ↦ x∧x_j into the q coordinates of L∧L, read off the RREF of d2:
+the construction that gives Z(L) from the maps ad(x_j), and a polynomial
+computation over any field.  The result is checked to lie in Z(L), which
+it must when d2 is the complex of a Lie algebra.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, kernel, rref
+from .linalg import Matrix, Subspace, annihilator, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -138,8 +139,8 @@ def _exterior_centre(L: LieAlgebra, reduced: Matrix, pivots: tuple[int, ...]) ->
 
     L∧L has coordinates on the q free columns of `reduced`: a pair column
     that is free is a coordinate itself, and a pivot column equals minus
-    the free part of its pivot row.  The result is the kernel of the
-    n x n·q matrix whose row i lists x_i∧x_j for every j.
+    the free part of its pivot row.  The result is the annihilator of the
+    n x q maps x ↦ x∧x_j, the same construction as Z(L) for the bracket.
     """
     series = L.series()
     if not series.is_nilpotent:
@@ -147,22 +148,15 @@ def _exterior_centre(L: LieAlgebra, reduced: Matrix, pivots: tuple[int, ...]) ->
     n, field = L.dim, L.field
     pivot_row = dict(zip(pivots, reduced.data))
     free = [c for c in range(reduced.cols) if c not in pivot_row]
-    if not free:
-        return Subspace.full(field, n)
     zero, one = field.zero, field.one
     wedge = {  # x_i∧x_j for i < j, in the free coordinates
         pq: [-pivot_row[c][f] for f in free] if c in pivot_row else [one if f == c else zero for f in free]
         for c, pq in enumerate(pair_basis(n))
     }
-    rows = []  # transposed: row (j, f) holds the f-th coordinate of x_i∧x_j over i
-    for j in range(n):
-        block = [[zero] * n for _ in free]
-        for i in range(n):
-            if i != j:
-                for f, v in enumerate(wedge[min(i, j), max(i, j)]):
-                    block[f][i] = v if i < j else -v
-        rows.extend(block)
-    centre = kernel(Matrix(field, rows, cols=n))
+    wedge.update({(j, i): [-v for v in w] for (i, j), w in wedge.items()})
+    zeros = [zero] * len(free)
+    maps = [[wedge.get((i, j), zeros) for i in range(n)] for j in range(n)]
+    centre = annihilator(field, n, maps)
     if not series.center.contains_subspace(centre):
         raise ComplexIntegrityError("exterior centre is not central: the rows of d2 are not im ∂₃")
     return centre

@@ -68,10 +68,10 @@ def rule_id(c: Classification) -> str:
     return f"capable-{fam.value}"
 
 
-def schur_dim(c: Classification, n: int | None = None) -> DimValue:
+def schur_dim(c: Classification) -> DimValue:
     """Multiplier dimension by family."""
     _require_in_scope(c)
-    n = c.n if n is None else n
+    n = c.n
     fam = c.family
     if fam is Family.ABELIAN:
         return _half(n * (n - 1))
@@ -102,20 +102,17 @@ def square_dim(n: int, derived_dim: int) -> int:
     return _half(m * (m + 1))
 
 
-def exterior_dim(c: Classification, n: int | None = None) -> DimValue:
-    n = c.n if n is None else n
-    return shift(schur_dim(c, n), c.derived_dim)
+def exterior_dim(c: Classification) -> DimValue:
+    return shift(schur_dim(c), c.derived_dim)
 
 
-def tensor_dim(c: Classification, n: int | None = None) -> DimValue:
-    n = c.n if n is None else n
-    return shift(exterior_dim(c, n), square_dim(n, c.derived_dim))
+def tensor_dim(c: Classification) -> DimValue:
+    return shift(exterior_dim(c), square_dim(c.n, c.derived_dim))
 
 
-def corank(c: Classification, n: int | None = None) -> DimValue:
-    n = c.n if n is None else n
-    total = _half(n * (n - 1))
-    value = schur_dim(c, n)
+def corank(c: Classification) -> DimValue:
+    total = _half(c.n * (c.n - 1))
+    value = schur_dim(c)
     if isinstance(value, int):
         return total - value
     return frozenset(total - v for v in value)

@@ -223,6 +223,15 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.span(m.field, n, vecs)
 
 
+def annihilator(field: FieldSpec, n: int, maps: Iterable[Sequence[Sequence]]) -> "Subspace":
+    """{x in F^n : x @ m = 0 for every m in maps}, each map given by its n rows.
+
+    The equations are the nonzero columns of the maps, so this is one kernel.
+    """
+    eqs = [col for m in maps for col in zip(*m) if any(col)]
+    return kernel(Matrix(field, eqs, cols=n))
+
+
 def invert(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     if m.rows != m.cols:

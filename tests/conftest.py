@@ -5,7 +5,10 @@ tests; they exercise structure outside the named catalog families.
 `sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
 `jacobi_residuals_by_brackets` the bracket-based reference for
 `LieAlgebra.validate`, and `rref_by_fractions` the elimination on
-`Fraction` entries that `linalg.rref` replaced over Q.  `subspace_sum` and
+`Fraction` entries that `linalg.rref` replaced over Q.  `bracket_by_table`,
+`center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
+read the table pair by pair, as `LieAlgebra` did before it derived every
+bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.
 """
@@ -18,7 +21,7 @@ from liemult import LieAlgebra, direct_sum, heisenberg
 from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
-from liemult.linalg import Matrix, Subspace, kernel
+from liemult.linalg import Matrix, Subspace, invert, kernel
 
 
 def unit(n: int, k: int):
@@ -148,6 +151,83 @@ def sweep_epicenter(L: LieAlgebra) -> Subspace:
     return span
 
 
+def bracket_by_table(L: LieAlgebra, u, v) -> tuple:
+    """Bilinear extension of the table to coordinate vectors."""
+    zero = L.field.zero
+    out = [zero] * L.dim
+    u = [L.field.of(x) for x in u]
+    v = [L.field.of(x) for x in v]
+    for (i, j), vec in L.table.items():
+        coef = u[i] * v[j] - u[j] * v[i]
+        if coef:
+            out = [a + coef * b for a, b in zip(out, vec)]
+    return tuple(out)
+
+
+def center_by_equations(L: LieAlgebra) -> Subspace:
+    """Kernel of the stacked adjoint equations sum_i z_i c_{ij}^k = 0."""
+    n = L.dim
+    zero = L.field.zero
+    rows: dict[tuple[int, int], list] = {}
+
+    def row_for(key):
+        if key not in rows:
+            rows[key] = [zero] * n
+        return rows[key]
+
+    for (a, b), vec in L.table.items():
+        for k, coef in enumerate(vec):
+            if not coef:
+                continue
+            r = row_for((b, k))
+            r[a] = r[a] + coef
+            r = row_for((a, k))
+            r[b] = r[b] - coef
+    if not rows:
+        return L.full_space()
+    eqs = Matrix(L.field, [rows[key] for key in sorted(rows)], cols=n)
+    return kernel(eqs)
+
+
+def change_basis_by_pairs(L: LieAlgebra, p: Matrix) -> LieAlgebra:
+    """Conjugate the table: row i of p is the i-th new basis vector."""
+    pinv = invert(p)  # raises on singular input
+    table = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            old = bracket_by_table(L, p.row(i), p.row(j))
+            new = Matrix(L.field, [old], cols=L.dim) @ pinv
+            vec = new.row(0)
+            if any(vec):
+                table[(i, j)] = vec
+    return LieAlgebra(L.field, L.dim, table)
+
+
+def series_by_brackets(L: LieAlgebra) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
+    """Lower central and derived series, each term spanned by pairwise brackets."""
+
+    def bracket_span(u, v):
+        vecs = [bracket_by_table(L, a, b) for a in u.basis_rows() for b in v.basis_rows()]
+        return Subspace.span(L.field, L.dim, vecs)
+
+    full = L.full_space()
+    lower = [full]
+    while True:
+        nxt = bracket_span(lower[-1], full)
+        if nxt.dim == lower[-1].dim:
+            break  # stabilized; nilpotent only if already zero
+        lower.append(nxt)
+        if nxt.dim == 0:
+            break
+    derived = list(lower[:2])  # L and L^2; a perfect L stops at L
+    while len(derived) > 1 and derived[-1].dim:
+        nxt = bracket_span(derived[-1], derived[-1])
+        if nxt.dim == derived[-1].dim:
+            break
+        derived.append(nxt)
+    return tuple(lower), tuple(derived)
+
+
 def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
     """[[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] over all triples, by brackets."""
     violations = []
@@ -159,9 +239,9 @@ def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
             bij = L.structure_vector(i, j)
             for k in range(j + 1, n):
                 ek = L.basis_vector(k)
-                term = L.bracket(bij, ek)
-                term2 = L.bracket(L.structure_vector(j, k), ei)
-                term3 = L.bracket(L.structure_vector(k, i), ej)
+                term = bracket_by_table(L, bij, ek)
+                term2 = bracket_by_table(L, L.structure_vector(j, k), ei)
+                term3 = bracket_by_table(L, L.structure_vector(k, i), ej)
                 residual = tuple(a + b + c for a, b, c in zip(term, term2, term3))
                 if any(residual):
                     violations.append(JacobiViolation(i, j, k, residual))

@@ -4,7 +4,17 @@ from itertools import combinations
 
 import pytest
 
-from conftest import jacobi_breaker, jacobi_residuals_by_brackets, non_nilpotent, rank2_stem_zoo, unit
+from conftest import (
+    bracket_by_table,
+    center_by_equations,
+    change_basis_by_pairs,
+    jacobi_breaker,
+    jacobi_residuals_by_brackets,
+    non_nilpotent,
+    rank2_stem_zoo,
+    series_by_brackets,
+    unit,
+)
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg, reduce_mod_p
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -99,6 +109,39 @@ def test_validate_matches_bracket_reference():
                 invalid += bool(expected)
                 total += 1
     assert min(invalid, total - invalid) >= 50  # both kinds are well represented
+
+
+def sl2(field):
+    """[e,f] = h, [e,h] = -2e, [f,h] = 2f: perfect outside characteristic 2."""
+    return LieAlgebra(field, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+
+
+def test_ad_matches_table_references():
+    # bracket, center, both series chains and change_basis, all derived from
+    # ad, against the pair-by-pair readings of the table in conftest
+    rng = random.Random(20261019)
+    kinds = {"non-nilpotent": 0, "perfect": 0, "invalid": 0}
+    for field in (QQ, gf(2), gf(3), G5):
+        entries = range(field.p) if field.is_prime_field else (-2, -1, 0, 1, 3, Fraction(-1, 2))
+        algebras = [sl2(field), non_nilpotent(field), direct_sum(sl2(field), non_nilpotent(field))]
+        algebras += [_random_table(field, n, rng, two_step=case % 2 == 0) for n in range(8) for case in range(6)]
+        for L in algebras:
+            n = L.dim
+            vectors = [L.basis_vector(i) for i in range(n)]
+            vectors += [[rng.choice(entries) for _ in range(n)] for _ in range(3)]
+            for u in vectors:
+                for v in vectors:
+                    assert L.bracket(u, v) == bracket_by_table(L, u, v), (field, n)
+            assert L.center() == center_by_equations(L), (field, n)
+            series = L.series()
+            assert (series.lower_central, series.derived_series) == series_by_brackets(L), (field, n)
+            p = random_invertible(field, n, rng)
+            moved = L.change_basis(p)
+            assert dict(moved.table) == dict(change_basis_by_pairs(L, p).table), (field, n)
+            kinds["non-nilpotent"] += not series.is_nilpotent
+            kinds["perfect"] += n > 0 and series.derived_dim == n
+            kinds["invalid"] += bool(L.validate())
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_validate_is_computed_once(monkeypatch):

@@ -1,14 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2
 
 import liemult
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.cli import main
+from liemult.cli import entrypoint, main
 from liemult.document import dumps_algebra, loads_algebra
 from liemult.fields import gf, rationals
 
@@ -206,6 +209,18 @@ def test_report_rejects_non_prime(tmp_path, capsys):
     assert capsys.readouterr().err == "error: not a prime: 4\n"
 
 
+def test_report_zero_algebra_is_capable(tmp_path, capsys):
+    # A(0) = A(1)/Z(A(1)): formula and oracle both say capable
+    for field in ("rationals", {"prime": 5}):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"field": field, "dim": 0}))
+        assert main(["report", str(path), "--oracle"]) == 0, field
+        report = json.loads(capsys.readouterr().out)
+        assert report["functors"]["capable"] is True
+        assert report["oracle"]["capable"] is True
+        assert report["ok"] is True
+
+
 def test_report_mismatch_exit_code(tmp_path, capsys):
     # the known fingerprint collision: formulas disagree with the brute force
     path = write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
@@ -334,3 +349,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert loads_algebra(proc.stdout).dim == 4
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_entrypoint_exits_quietly_on_closed_stdout(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "l43.json", make_catalog(CatalogId(Family.L4_3), QQ))
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        monkeypatch.setattr(sys, "argv", ["liemult", "report", str(path), "--oracle"])
+        with pytest.raises(SystemExit) as exit_info:
+            entrypoint()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_module_entry_point_closed_pipe():
+    src = str(Path(liemult.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liemult", "catalog", "L4_3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # the reader is gone before the child writes
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == ""

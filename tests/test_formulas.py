@@ -54,7 +54,7 @@ def test_abelian_values():
         assert exterior_dim(c) == n * (n - 1) // 2
         assert tensor_dim(c) == n * n
         assert corank(c) == 0
-        assert is_capable(c) == (n > 1)
+        assert is_capable(c) == (n != 1)  # A(0) = A(1)/Z(A(1)) is capable
 
 
 def test_heisenberg_values():
