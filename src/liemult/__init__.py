@@ -10,7 +10,8 @@ exterior-square pairing read off the same reduced differential).
 
 from .algebra import LieAlgebra, SeriesReport, abelian, direct_sum, reduce_mod_p
 from .catalog import CatalogId, Family, heisenberg, make_catalog
-from .classify import Classification, StemDecomposition, classify, heisenberg_rank, stem_decompose
+from .classify import (Classification, StemDecomposition, classify, has_rank2_member,
+                       heisenberg_rank, stem_decompose)
 from .cohomology import (
     CochainComplexSlice,
     ComplexIntegrityError,
@@ -67,6 +68,7 @@ __all__ = [
     "exterior_dim",
     "functor_report",
     "gf",
+    "has_rank2_member",
     "heisenberg",
     "heisenberg_rank",
     "invert",

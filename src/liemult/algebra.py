@@ -13,8 +13,9 @@ that :func:`~liemult.cohomology.cochain_complex` requires.
 Every bracket comes from :meth:`LieAlgebra.ad`, the n x n matrix of
 x ↦ [x, v] built in one pass over the table: ``bracket(u, v)`` is
 ``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
-``P @ ad(p_j)``, and Z(L) is the :func:`~liemult.linalg.annihilator` of
-the maps ``ad(x_j)``.  L^2 is the span of the table's own vectors.
+``P @ ad(p_j)``, and ``series`` builds the n maps ``ad(x_j)`` once: L^{k+1}
+spans ``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`.  L^2
+is the span of the table's own vectors.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -146,9 +147,8 @@ class LieAlgebra:
         return lower[min(1, len(lower) - 1)]
 
     def center(self) -> Subspace:
-        """Z(L): the annihilator of the maps ad(x_j)."""
-        maps = [self.ad(self.basis_vector(j)).data for j in range(self.dim)]
-        return annihilator(self.field, self.dim, maps)
+        """Z(L), read from the series."""
+        return self.series().center
 
     def series(self) -> "SeriesReport":
         """Lower central series, derived series, center, nilpotency class.
@@ -157,14 +157,14 @@ class LieAlgebra:
         """
         if self._series is not None:
             return self._series
-        full = self.full_space()
-        lower = [full]
+        maps = [self.ad(self.basis_vector(j)) for j in range(self.dim)]  # ad(x_j), built once
+        lower = [self.full_space()]
         nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
                 break
-            nxt = self.bracket_span(nxt, full)
+            nxt = Subspace.span(self.field, self.dim, [r for m in maps for r in (nxt.basis @ m).data])
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
@@ -173,7 +173,8 @@ class LieAlgebra:
             if nxt.dim == derived[-1].dim:
                 break
             derived.append(nxt)
-        series = SeriesReport(tuple(lower), tuple(derived), self.center(), cls)
+        center = annihilator(self.field, self.dim, [m.data for m in maps])
+        series = SeriesReport(tuple(lower), tuple(derived), center, cls)
         object.__setattr__(self, "_series", series)
         return series
 

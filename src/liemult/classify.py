@@ -8,22 +8,21 @@ returns the change of basis.
 
 `classify` recognizes algebras with derived subalgebra of dimension at
 most 2 by the invariant tuple (dim L^2, nilpotency class, stem dimension,
-Heisenberg rank).  This is fingerprinting, not isomorphism testing: the
-tuple separates the named catalog families from each other (enforced by
-round-trip tests), but an uncatalogued class-2 stem whose dimension
-collides with a named family (possible at stem dimension 6 or 7) is
-reported as that family.  Catalog-generated inputs are always recognized
-correctly; arbitrary tables get the best-effort verdict, and the
-cross-check harness surfaces any resulting formula/oracle mismatch.
+Heisenberg rank) and, for class-2 stems with dim L^2 = 2 of dimension
+>= 7, by `has_rank2_member`: whether some member of the pencil aB1 + bB2
+of alternating forms that the bracket induces has rank 2 (pencils are
+classified by the ranks of their members: Scharlau, Math. Z. 1976).  At
+dimension 7 it separates the capable L1 from the non-capable stems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebra import LieAlgebra
 from .catalog import Family
-from .linalg import Matrix, rref
+from .linalg import Matrix, kernel, rref
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,37 @@ def heisenberg_rank(L: LieAlgebra) -> int:
     return spread // 2
 
 
+def has_rank2_member(L: LieAlgebra) -> bool:
+    """Whether some member aB1 + bB2 of L's pencil of forms has rank 2 (class 2, dim L^2 = 2).
+
+    B1, B2 are the coordinates of [x_i, x_j] along the RREF basis of L^2, on
+    the coordinates outside Z(L)'s pivots.  A member has rank 2 when its 4x4
+    sub-Pfaffians, binary quadratics in (a, b), vanish: when (a^2, ab, b^2) is
+    in the kernel of their coefficient rows.  Over the algebraic closure a
+    kernel of dim >= 2 meets that conic, and a line (x, y, z) lies on it iff
+    y^2 = xz.  Nothing is enumerated, so the test is exact over Q and GF(p).
+    """
+    series = L.series()
+    if series.nilpotency_class != 2 or series.derived_dim != 2:
+        raise ValueError("has_rank2_member needs class 2 and dim L^2 = 2")
+    c1, c2 = series.lower_central[1].pivots
+    keep = [j for j in range(L.dim) if j not in series.center.pivots]
+
+    def product(p, q):  # (u1 a + v1 b)(u2 a + v2 b) as coefficients of a^2, ab, b^2
+        u, v = L.structure_vector(*p), L.structure_vector(*q)
+        return u[c1] * v[c1], u[c1] * v[c2] + u[c2] * v[c1], u[c2] * v[c2]
+
+    rows = []
+    for i, j, k, l in combinations(keep, 4):  # Pf = B_ij B_kl - B_ik B_jl + B_il B_jk
+        terms = zip(product((i, j), (k, l)), product((i, k), (j, l)), product((i, l), (j, k)))
+        rows.append([s - t + u for s, t, u in terms])
+    null = kernel(Matrix(L.field, rows, cols=3))
+    if null.dim != 1:
+        return null.dim > 1
+    x, y, z = null.basis_rows()[0]
+    return y * y == x * z
+
+
 @dataclass(frozen=True)
 class Classification:
     """Structured verdict; family is None when dim L^2 > 2 (out of scope)."""
@@ -86,6 +116,7 @@ class Classification:
     center_dim: int
     stem_dim: int
     capable: bool | None  # None when out of scope
+    rank2_member: bool | None = None  # has_rank2_member, for class-2 rank-2 stems of dim >= 7
 
     @property
     def in_scope(self) -> bool:
@@ -138,16 +169,19 @@ def classify(L: LieAlgebra) -> Classification:
 
     if d == 2:
         s = stem_decompose(L).stem_dim
+        rank2 = has_rank2_member(L) if cls == 2 and s >= 7 else None
         if cls == 2:
             fam = {5: Family.L5_8, 6: Family.L6_22, 7: Family.L1}.get(s, Family.GEN_HEISENBERG_RANK2)
             if s == 6 and L.field.char == 2:
                 fam = Family.L6_7_2
+            if rank2:
+                fam = Family.GEN_HEISENBERG_RANK2
         elif cls == 3:
             fam = {4: Family.L4_3, 5: Family.L5_5}.get(s, Family.STEM_CLASS3_DIM2)
         else:
             raise AssertionError(f"dim L^2 = 2 forces class 2 or 3, got {cls}")
         return Classification(fam, None, n - s, n, 2, cls, zdim, s,
-                              _capable_by_family(fam, None, n))
+                              _capable_by_family(fam, None, n), rank2)
 
     return Classification(None, None, 0, n, d, cls, zdim,
                           stem_decompose(L).stem_dim, None)

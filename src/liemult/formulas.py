@@ -1,10 +1,10 @@
 """Closed-form dimensions keyed on the classification verdict.
 
 All formulas are stated in terms of the total dimension n (abelian
-summand included).  Values are exact integers; the one genuinely
-ambiguous case, a non-capable class-2 rank-2 stem plus abelian summand,
-yields a two-element admissible set (a frozenset), which the brute-force
-side pins down per instance.  Derived quantities:
+summand included), and every value is one exact integer.  A non-capable
+class-2 rank-2 stem has multiplier (n-2)(n-3)/2 when its pencil of forms
+has a rank-2 member (`Classification.rank2_member`), two less when not.
+Derived quantities:
 
     exterior  = multiplier + dim L^2          (kernel of the commutator map)
     square    = m(m+1)/2,  m = n - dim L^2    (diagonal summand of the tensor square)
@@ -15,37 +15,15 @@ side pins down per instance.  Derived quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .catalog import Family
 from .classify import Classification
-
-DimValue = Union[int, frozenset]
 
 
 def _half(x: int) -> int:
     if x % 2:
         raise AssertionError(f"odd value where an even product was expected: {x}")
     return x // 2
-
-
-def shift(value: DimValue, delta: int) -> DimValue:
-    if isinstance(value, int):
-        return value + delta
-    return frozenset(v + delta for v in value)
-
-
-def admissible(value: DimValue) -> tuple[int, ...]:
-    """Sorted tuple of admissible integers (singleton for determined values)."""
-    if isinstance(value, int):
-        return (value,)
-    return tuple(sorted(value))
-
-
-def matches(value: DimValue, observed: int) -> bool:
-    if isinstance(value, int):
-        return observed == value
-    return observed in value
 
 
 def _require_in_scope(c: Classification):
@@ -68,7 +46,7 @@ def rule_id(c: Classification) -> str:
     return f"capable-{fam.value}"
 
 
-def schur_dim(c: Classification) -> DimValue:
+def schur_dim(c: Classification) -> int:
     """Multiplier dimension by family."""
     _require_in_scope(c)
     n = c.n
@@ -90,7 +68,7 @@ def schur_dim(c: Classification) -> DimValue:
         return _half(n * (n - 5)) + 4
     if fam is Family.GEN_HEISENBERG_RANK2:
         top = _half((n - 2) * (n - 3))
-        return frozenset((top - 2, top))
+        return top if c.rank2_member else top - 2
     if fam is Family.STEM_CLASS3_DIM2:
         return _half((n - 2) * (n - 3))
     raise AssertionError(f"unhandled family {fam}")
@@ -102,20 +80,16 @@ def square_dim(n: int, derived_dim: int) -> int:
     return _half(m * (m + 1))
 
 
-def exterior_dim(c: Classification) -> DimValue:
-    return shift(schur_dim(c), c.derived_dim)
+def exterior_dim(c: Classification) -> int:
+    return schur_dim(c) + c.derived_dim
 
 
-def tensor_dim(c: Classification) -> DimValue:
-    return shift(exterior_dim(c), square_dim(c.n, c.derived_dim))
+def tensor_dim(c: Classification) -> int:
+    return exterior_dim(c) + square_dim(c.n, c.derived_dim)
 
 
-def corank(c: Classification) -> DimValue:
-    total = _half(c.n * (c.n - 1))
-    value = schur_dim(c)
-    if isinstance(value, int):
-        return total - value
-    return frozenset(total - v for v in value)
+def corank(c: Classification) -> int:
+    return _half(c.n * (c.n - 1)) - schur_dim(c)
 
 
 def is_capable(c: Classification) -> bool:
@@ -125,23 +99,23 @@ def is_capable(c: Classification) -> bool:
 
 @dataclass(frozen=True)
 class FunctorReport:
-    schur: DimValue
-    exterior: DimValue
-    tensor: DimValue
-    square: int
-    corank: DimValue
-    capable: bool
     rule: str
+    schur: int
+    exterior: int
+    tensor: int
+    square: int
+    corank: int
+    capable: bool
 
 
 def functor_report(c: Classification) -> FunctorReport:
     _require_in_scope(c)
     return FunctorReport(
+        rule=rule_id(c),
         schur=schur_dim(c),
         exterior=exterior_dim(c),
         tensor=tensor_dim(c),
         square=square_dim(c.n, c.derived_dim),
         corank=corank(c),
         capable=is_capable(c),
-        rule=rule_id(c),
     )

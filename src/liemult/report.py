@@ -3,8 +3,8 @@
 Reports degrade gracefully: inputs with dim L^2 > 2 keep their series data
 and (with the oracle enabled) the brute-force multiplier, with the formula
 block marked not applicable; non-nilpotent inputs stop after the series
-block.  All numbers are exact integers; two-valued formulas appear as
-sorted arrays.
+block.  All numbers are exact integers; each `functors.*` value and each
+`checks[].formula` is one integer or boolean, never a list.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .algebra import LieAlgebra
 from .classify import classify
 from .cohomology import OracleReport, oracle_report
 from .document import field_to_json
-from .formulas import functor_report, rule_id
-from .verify import _formula_json, compare
+from .formulas import functor_report
+from .verify import compare
 
 DEFAULT_SWEEP_PRIME = 5
 
@@ -84,16 +84,7 @@ def build_report(
         "description": c.describe(),
     }
     fr = functor_report(c)
-    report["functors"] = {
-        "applicable": True,
-        "rule": rule_id(c),
-        "schur": _formula_json(fr.schur),
-        "exterior": _formula_json(fr.exterior),
-        "tensor": _formula_json(fr.tensor),
-        "square": fr.square,
-        "corank": _formula_json(fr.corank),
-        "capable": fr.capable,
-    }
+    report["functors"] = {"applicable": True, **asdict(fr)}  # field order is the key order
     ok = True
     if oracle is not None:
         checks = compare(c, fr, oracle)

@@ -3,6 +3,7 @@
 `cross_check` classifies an algebra, evaluates every closed form, runs the
 cohomological brute-force computation of the same quantities, and reports a
 per-quantity verdict; the brute-force side is `cohomology.oracle_report`.
+Every closed form is one integer (or boolean), so a check is `==`.
 Capability is compared directly for prime-field algebras, and on the mod-p
 reduction of a rational table when a reduction prime is supplied and every
 denominator is a unit mod p (default 5 in the suite, the smallest odd prime
@@ -22,14 +23,14 @@ from .catalog import CatalogId, Family, make_catalog
 from .classify import Classification, classify
 from .cohomology import OracleReport, oracle_report
 from .fields import gf, rationals
-from .formulas import FunctorReport, admissible, functor_report, matches
+from .formulas import FunctorReport, functor_report
 
 
 @dataclass(frozen=True)
 class Check:
     quantity: str
-    formula: object  # int, sorted list of admissible ints, or bool
-    oracle: object
+    formula: int | bool
+    oracle: int | bool
     ok: bool
 
 
@@ -43,11 +44,6 @@ class CrossCheckReport:
     ok: bool
 
 
-def _formula_json(value):
-    vals = admissible(value)
-    return vals[0] if len(vals) == 1 else list(vals)
-
-
 def compare(c: Classification, fr: FunctorReport, oracle: OracleReport) -> tuple[Check, ...]:
     """One check per quantity; capability only when the oracle swept."""
     quantities = [
@@ -56,7 +52,7 @@ def compare(c: Classification, fr: FunctorReport, oracle: OracleReport) -> tuple
         ("tensor", fr.tensor, oracle.tensor),
         ("corank", fr.corank, c.n * (c.n - 1) // 2 - oracle.schur),
     ]
-    checks = [Check(q, _formula_json(f), o, matches(f, o)) for q, f, o in quantities]
+    checks = [Check(q, f, o, f == o) for q, f, o in quantities]
     if oracle.capable is not None:
         checks.append(Check("capable", fr.capable, oracle.capable, fr.capable == oracle.capable))
     return tuple(checks)

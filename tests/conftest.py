@@ -10,7 +10,10 @@ tests; they exercise structure outside the named catalog families.
 read the table pair by pair, as `LieAlgebra` did before it derived every
 bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
-does not.
+does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2, and
+`rank2_member_by_enumeration` is the reference for
+`classify.has_rank2_member` over GF(p): it ranks each of the p + 1 members
+of the pencil.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from liemult import LieAlgebra, direct_sum, heisenberg
 from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
-from liemult.linalg import Matrix, Subspace, invert, kernel
+from liemult.linalg import Matrix, Subspace, invert, kernel, rref
 
 
 def unit(n: int, k: int):
@@ -65,6 +68,50 @@ def rank2_stem_zoo(field: FieldSpec) -> list[tuple[str, LieAlgebra]]:
         ("H(2)+H(2)", direct_sum(heisenberg(field, 2), heisenberg(field, 2))),
         ("stem7", stem7_rank2(field)),
     ]
+
+
+def random_rank2_stem(field: FieldSpec, s: int, rng) -> LieAlgebra:
+    """A random class-2 stem of dimension s with dim L^2 = Z(L) = 2.
+
+    [x_i, x_j] = a_ij x_{s-1} + b_ij x_s on the s - 2 generators, each
+    coefficient zero with probability 1/2, else a random nonzero scalar;
+    redrawn until the centre is exactly L^2.  Half the draws plant a
+    rank-2 member: b_ij is nonzero on one pair only.
+    """
+    g = s - 2
+    nonzero = range(1, field.p) if field.is_prime_field else (-2, -1, 1, 2)
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    while True:
+        planted = rng.choice(pairs) if rng.random() < 0.5 else None
+        table = {}
+        for pair in pairs:
+            vec = [0] * s
+            if rng.random() < 0.5:
+                vec[g] = rng.choice(nonzero)
+            if pair == planted or (planted is None and rng.random() < 0.5):
+                vec[g + 1] = rng.choice(nonzero)
+            table[pair] = vec
+        L = LieAlgebra(field, s, table)
+        series = L.series()
+        if series.derived_dim == 2 and series.center.dim == 2:
+            return L
+
+
+def rank2_member_by_enumeration(L: LieAlgebra) -> bool:
+    """Whether some aB1 + bB2, (a:b) in P^1(GF(p)), has rank 2; by p + 1 rrefs.
+
+    B1 and B2 are the n x n matrices of the two coordinates of [x_i, x_j]
+    along a basis of L^2, read through the pivot columns of its RREF.
+    """
+    field, n = L.field, L.dim
+    c1, c2 = L.derived_subalgebra().pivots
+    forms = [[[L.structure_vector(i, j)[c] for j in range(n)] for i in range(n)] for c in (c1, c2)]
+    members = [(field.one, field.zero)] + [(field.of(t), field.one) for t in range(field.p)]
+    for a, b in members:
+        grid = [[a * u + b * v for u, v in zip(r1, r2)] for r1, r2 in zip(*forms)]
+        if len(rref(Matrix(field, grid, cols=n))[1]) == 2:
+            return True
+    return False
 
 
 def fifth_scaled_l58(field: FieldSpec) -> LieAlgebra:

@@ -11,7 +11,7 @@ from conftest import intersect, rank2_stem_zoo, stem6_class3
 
 from liemult import abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.classify import classify
+from liemult.classify import classify, has_rank2_member
 from liemult.cohomology import (
     ComplexIntegrityError,
     cochain_complex,
@@ -21,7 +21,7 @@ from liemult.cohomology import (
     schur_dim_oracle,
 )
 from liemult.fields import gf, rationals
-from liemult.formulas import corank, exterior_dim, matches, schur_dim, tensor_dim
+from liemult.formulas import corank, exterior_dim, schur_dim, tensor_dim
 from liemult.linalg import random_invertible, rref
 
 QQ = rationals()
@@ -190,9 +190,9 @@ def test_criterion_07_exact_sequence_suite():
         r = oracle_report(L)  # one cochain complex: the multiplier is r.schur
         assert r.exterior - r.schur == d
         assert r.tensor - r.exterior == m * (m + 1) // 2
-        assert matches(schur_dim(c), r.schur)
-        assert matches(exterior_dim(c), r.exterior)
-        assert matches(tensor_dim(c), r.tensor)
+        assert schur_dim(c) == r.schur
+        assert exterior_dim(c) == r.exterior
+        assert tensor_dim(c) == r.tensor
     _passed(7, "200 seeded random instances: exterior-schur = dim L^2, tensor-exterior = m(m+1)/2, "
                "and the closed forms match the oracle")
 
@@ -232,21 +232,23 @@ def test_criterion_08_direct_sum_multiplier():
 
 
 def test_criterion_09_rank2_admissible_set():
+    # of the pair (n-2)(n-3)/2 - 2, (n-2)(n-3)/2 the pencil invariant picks the
+    # upper value exactly when some member of the pencil has rank 2
     noncapable = 0
     for name, L in rank2_stem_zoo(G5):
         _touch(L)
-        n = L.dim
-        top = (n - 2) * (n - 3) // 2
-        value = schur_dim_oracle(L)
         if is_capable_oracle(L):
             continue
         noncapable += 1
-        assert value in {top - 2, top}, (name, value, top)
-        c = classify(direct_sum(L, abelian(G5, 1)))
-        if c.family is Family.GEN_HEISENBERG_RANK2:
-            assert matches(schur_dim(c), schur_dim_oracle(direct_sum(L, abelian(G5, 1))))
+        n = L.dim
+        top = (n - 2) * (n - 3) // 2
+        assert schur_dim_oracle(L) == (top if has_rank2_member(L) else top - 2), name
+        for M in (L, direct_sum(L, abelian(G5, 1))):
+            c = classify(M)
+            assert c.family is Family.GEN_HEISENBERG_RANK2, name
+            assert schur_dim(c) == schur_dim_oracle(M), name
     assert noncapable >= 3
-    _passed(9, f"{noncapable} non-capable rank-2 stems, multiplier always in the admissible pair")
+    _passed(9, f"{noncapable} non-capable rank-2 stems, multiplier fixed by the pencil invariant")
 
 
 def test_criterion_10_harness_integrity():

@@ -230,6 +230,18 @@ def test_series_is_computed_once():
         L.table[(0, 1)] = (0, 0, 0, 1)
 
 
+def test_series_builds_each_ad_once(monkeypatch):
+    # the lower central steps and Z(L) all read the n maps ad(x_j); the
+    # derived series adds ad(b) over a basis of L^2 for [L^2, L^2]
+    calls = []
+    real = LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "ad", lambda self, v: calls.append(v) or real(self, v))
+    L = direct_sum(l4_3(), abelian(QQ, 2))
+    assert L.series().lower_central_dims() == (6, 2, 1, 0)
+    assert L.center() is L.series().center and L.center().dim == 3
+    assert len(calls) == L.dim + L.derived_subalgebra().dim
+
+
 def test_quotient_by_zero_is_isomorphic_copy():
     L = l4_3()
     q, proj = L.quotient(Subspace.zero(QQ, 4))

@@ -6,7 +6,8 @@ from conftest import intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_clas
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.classify import classify, heisenberg_rank, stem_decompose
+from liemult.classify import classify, has_rank2_member, heisenberg_rank, stem_decompose
+from liemult.formulas import schur_dim
 from liemult.fields import gf, rationals
 from liemult.linalg import random_invertible
 
@@ -166,12 +167,28 @@ def test_classify_gen_heisenberg_rank2():
 
 
 def test_classify_known_fingerprint_collision():
-    # A non-capable 7-dim rank-2 stem exists; the (class, stem dim) fingerprint
-    # cannot tell it from the capable catalog stem of the same dimension, so it
-    # is reported as that family.  The cross-check harness flags the mismatch.
+    # A non-capable 7-dim rank-2 stem shares (class, stem dim) with the capable
+    # L1; a rank-2 member of its pencil of forms tells the two apart.
     c = classify(stem7_rank2(QQ))
-    assert c.family is Family.L1
-    assert c.stem_dim == 7
+    assert c.family is Family.GEN_HEISENBERG_RANK2
+    assert c.stem_dim == 7 and c.rank2_member and not c.capable
+    assert schur_dim(c) == 10
+    c = classify(make_catalog(CatalogId(Family.L1), QQ))
+    assert c.family is Family.L1 and c.rank2_member is False
+
+
+def test_has_rank2_member():
+    expected = {"H(1)+H(1)": True, "H(1)+H(2)": True, "H(2)+H(2)": False, "stem7": True}
+    rng = random.Random(31)
+    for field in (QQ, G2, G3):
+        zoo = rank2_stem_zoo(field) + [("L1", make_catalog(CatalogId(Family.L1), field))]
+        for name, L in zoo:
+            moved = direct_sum(L, abelian(field, 1))
+            moved = moved.change_basis(random_invertible(field, moved.dim, rng))
+            assert has_rank2_member(L) == has_rank2_member(moved) == expected.get(name, False)
+    for L in (heisenberg(QQ, 2), stem6_class3(QQ), abelian(QQ, 3)):
+        with pytest.raises(ValueError):
+            has_rank2_member(L)
 
 
 def test_class3_stems_have_one_dim_top():

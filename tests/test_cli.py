@@ -10,6 +10,7 @@ import pytest
 from conftest import fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2
 
 import liemult
+import liemult.formulas as formulas
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import entrypoint, main
 from liemult.document import dumps_algebra, loads_algebra
@@ -221,9 +222,14 @@ def test_report_zero_algebra_is_capable(tmp_path, capsys):
         assert report["ok"] is True
 
 
-def test_report_mismatch_exit_code(tmp_path, capsys):
-    # the known fingerprint collision: formulas disagree with the brute force
+def test_report_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    # the 7-dim stem with a rank-2 member in its pencil is not L1, and passes
     path = write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
+    assert main(["report", str(path), "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["functors"]["schur"] == 10
+    # a wrong multiplier formula disagrees with the brute force
+    real = formulas.schur_dim
+    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + 1)
     code = main(["report", str(path), "--oracle"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3
@@ -308,12 +314,17 @@ def test_check_rejects_non_prime(tmp_path, capsys):
         assert captured.out == "" and captured.err == "error: not a prime: 4\n"
 
 
-def test_check_directory_flags_mismatch(tmp_path, capsys):
+def test_check_directory_flags_mismatch(tmp_path, capsys, monkeypatch):
     write_doc(tmp_path, "l43.json", make_catalog(CatalogId(Family.L4_3), QQ))
     write_doc(tmp_path, "stem7.json", stem7_rank2(QQ))
+    assert main(["check", str(tmp_path)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    # a multiplier formula that is wrong at dimension 7 only
+    real = formulas.schur_dim
+    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + (c.n == 7))
     assert main(["check", str(tmp_path)]) == 3
-    out = capsys.readouterr().out
-    assert "MISMATCH" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in lines if "MISMATCH" in l] == ["stem7.json"]
 
 
 def test_check_directory_other_exit_codes(tmp_path, capsys):

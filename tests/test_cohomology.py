@@ -13,6 +13,7 @@ from conftest import (
 
 from liemult import LieAlgebra, abelian, cohomology, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
+from liemult.classify import has_rank2_member
 from liemult.cohomology import (
     ComplexIntegrityError,
     cochain_complex,
@@ -256,7 +257,8 @@ def test_capability_abelian():
 
 
 def test_noncapable_rank2_admissible_values():
-    # non-capable rank-2 stems carry one of the two admissible multiplier values
+    # a non-capable rank-2 stem has multiplier (n-2)(n-3)/2 when its pencil of
+    # forms has a rank-2 member, two less when it has none
     found_noncapable = 0
     for name, L in rank2_stem_zoo(G5):
         n = L.dim
@@ -264,7 +266,7 @@ def test_noncapable_rank2_admissible_values():
         if is_capable_oracle(L):
             continue
         found_noncapable += 1
-        assert schur_dim_oracle(L) in {top - 2, top}, name
+        assert schur_dim_oracle(L) == (top if has_rank2_member(L) else top - 2), name
     assert found_noncapable >= 3
 
 

@@ -7,16 +7,13 @@ from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify
 from liemult.fields import gf, rationals
 from liemult.formulas import (
-    admissible,
     corank,
     exterior_dim,
     functor_report,
     is_capable,
-    matches,
     rule_id,
     schur_dim,
     square_dim,
-    shift,
     tensor_dim,
 )
 
@@ -105,15 +102,24 @@ def test_noncapable_class3_stem_values():
 
 
 def test_noncapable_class2_admissible_set():
-    L = direct_sum(heisenberg(QQ, 1), heisenberg(QQ, 2))  # 8-dim rank-2 stem
+    # the pencil invariant picks one of the two values (n-2)(n-3)/2 - 2, (n-2)(n-3)/2
+    L = direct_sum(heisenberg(QQ, 1), heisenberg(QQ, 2))  # 8-dim stem with a rank-2 member
     c = classify(L)
     n = 8
     top = (n - 2) * (n - 3) // 2
-    value = schur_dim(c)
-    assert admissible(value) == (top - 2, top)
-    assert matches(value, top) and matches(value, top - 2) and not matches(value, top - 1)
-    assert admissible(corank(c)) == (2 * n - 3, 2 * n - 1)
-    assert admissible(exterior_dim(c)) == (top, top + 2)
+    assert c.rank2_member is True
+    assert schur_dim(c) == top == 15
+    assert corank(c) == 2 * n - 3
+    assert exterior_dim(c) == top + 2
+    assert rule_id(c) == "noncapable-class2-rank2"
+    assert not is_capable(c)
+    L = direct_sum(heisenberg(QQ, 2), heisenberg(QQ, 2))  # 10-dim stem, no rank-2 member
+    c = classify(L)
+    n = 10
+    top = (n - 2) * (n - 3) // 2
+    assert c.rank2_member is False
+    assert schur_dim(c) == top - 2 == 26
+    assert corank(c) == 2 * n - 1
     assert rule_id(c) == "noncapable-class2-rank2"
     assert not is_capable(c)
 
@@ -126,15 +132,13 @@ def test_exact_sequence_identities():
         CatalogId(Family.L1, abelian=2),
         CatalogId(Family.ABELIAN, abelian=5),
     ]
-    for cid in ids:
-        c = cls_of(cid)
+    classes = [cls_of(cid) for cid in ids]
+    classes.append(classify(direct_sum(heisenberg(QQ, 1, 1), heisenberg(QQ, 2))))
+    for c in classes:
         n, d = c.n, c.derived_dim
-        assert shift(schur_dim(c), d) == exterior_dim(c)
-        assert shift(exterior_dim(c), square_dim(n, d)) == tensor_dim(c)
-        assert shift(corank(c), 0) == corank(c)
-        total = n * (n - 1) // 2
-        for s_val, t_val in zip(admissible(schur_dim(c)), reversed(admissible(corank(c)))):
-            assert s_val + t_val == total
+        assert schur_dim(c) + d == exterior_dim(c)
+        assert exterior_dim(c) + square_dim(n, d) == tensor_dim(c)
+        assert schur_dim(c) + corank(c) == n * (n - 1) // 2
 
 
 def test_square_dim():

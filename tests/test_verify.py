@@ -1,9 +1,20 @@
+import random
+
 import pytest
 
-from conftest import fifth_scaled_l58, out_of_scope_algebra, stem7_rank2
+from conftest import (
+    fifth_scaled_l58,
+    out_of_scope_algebra,
+    random_rank2_stem,
+    rank2_member_by_enumeration,
+)
 
+import liemult.formulas as formulas
+from liemult import abelian, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
+from liemult.classify import has_rank2_member
 from liemult.fields import gf, rationals
+from liemult.linalg import random_invertible
 from liemult.verify import builtin_suite, cross_check, run_suite
 
 QQ = rationals()
@@ -40,11 +51,34 @@ def test_cross_check_prime_field_uses_own_field():
     assert r.ok and r.oracle.capable is True
 
 
-def test_cross_check_flags_mismatch():
-    r = cross_check(stem7_rank2(G5), "stem7")
+def test_cross_check_flags_mismatch(monkeypatch):
+    real = formulas.schur_dim
+    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + 1)
+    r = cross_check(make_catalog(CatalogId(Family.L5_8), G5), "l58")
     assert not r.ok
     failing = {c.quantity for c in r.checks if not c.ok}
-    assert "schur" in failing or "capable" in failing
+    assert failing == {"schur", "exterior", "tensor", "corank"}
+
+
+def test_cross_check_passes_on_random_pencils():
+    # class-2 stems with dim L^2 = 2 outside the catalog: stem dimension 7-10,
+    # an abelian summand A(0-2), a random basis; over Q the capability check
+    # needs a reduction prime, so there the four dimensions are compared
+    rng = random.Random(8)
+    seen = set()
+    for field in (gf(2), gf(3), G5, QQ):
+        for case in range(10):
+            s = rng.randint(7, 10)
+            L = direct_sum(random_rank2_stem(field, s, rng), abelian(field, rng.randint(0, 2)))
+            L = L.change_basis(random_invertible(field, L.dim, rng))
+            rank2 = has_rank2_member(L)
+            if field.is_prime_field:
+                assert rank2 == rank2_member_by_enumeration(L), (field, case)
+            seen.add((s == 7, rank2))
+            r = cross_check(L, f"pencil{s}")
+            assert r.ok, (field, case, [c for c in r.checks if not c.ok])
+            assert r.classification.rank2_member == rank2
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cross_check_rejects_out_of_scope():
