@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
 from .linalg import Matrix, Subspace, annihilator, invert
@@ -48,17 +48,13 @@ class LieAlgebra:
         self,
         field: FieldSpec,
         dim: int,
-        brackets: Mapping[tuple[int, int], Sequence] | Iterable[tuple[int, int, Sequence]] = (),
+        brackets: Mapping[tuple[int, int], Sequence] = MappingProxyType({}),
         labels: Sequence[str] | None = None,
     ):
         if dim < 0:
             raise ValueError("negative dimension")
-        if isinstance(brackets, Mapping):
-            items = brackets.items()
-        else:
-            items = ((key[:2], key[2]) for key in brackets)
         table: dict[tuple[int, int], tuple] = {}
-        for (i, j), coeffs in items:
+        for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
             if (i, j) in table:

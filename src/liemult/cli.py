@@ -52,8 +52,14 @@ def _field_from_args(args) -> FieldSpec:
 
 
 def _read_algebra(path: str):
-    text = Path(path).read_text()
-    return loads_algebra(text)
+    """The document's algebra, or None after printing why it could not be read."""
+    try:
+        return loads_algebra(Path(path).read_text())
+    except OSError as exc:
+        _print_err(str(exc))
+    except DocumentError as exc:
+        _print_err(f"parse: {exc}")
+    return None
 
 
 def _print_err(msg: str):
@@ -61,13 +67,8 @@ def _print_err(msg: str):
 
 
 def cmd_validate(args) -> int:
-    try:
-        algebra = _read_algebra(args.path)
-    except OSError as exc:
-        _print_err(str(exc))
-        return 1
-    except DocumentError as exc:
-        _print_err(f"parse: {exc}")
+    algebra = _read_algebra(args.path)
+    if algebra is None:
         return 1
     violations = algebra.validate()
     if violations:
@@ -117,13 +118,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        algebra = _read_algebra(args.path)
-    except OSError as exc:
-        _print_err(str(exc))
-        return 1
-    except DocumentError as exc:
-        _print_err(f"parse: {exc}")
+    algebra = _read_algebra(args.path)
+    if algebra is None:
         return 1
     violations = algebra.validate()
     if violations:
@@ -231,7 +227,6 @@ def cmd_check(args) -> int:
     else:
         results = run_suite(builtin_suite(prime))
 
-    results.sort(key=lambda r: r.name)
     rule_pass: dict[str, list[int]] = {}
     failed = 0
     for r in results:

@@ -19,8 +19,8 @@ from typing import Union
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
-# Primes are capped so products of two residues fit comfortably in int64,
-# which the fast elimination path in linalg relies on.
+# Primes are capped so that the trial division in `_is_prime` stays short:
+# at most sqrt(2^31)/2, about 23,000, odd divisors per modulus.
 _MAX_PRIME = 2**31
 
 

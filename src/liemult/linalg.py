@@ -9,25 +9,23 @@ Conventions used throughout the package:
   makes the representation canonical (equal subspaces compare equal).
 
 Everything is exact.  ``rref`` returns the reduced matrix with its pivot
-columns, which every caller reads instead of rescanning the rows.
-Rational elimination clears each row's denominators and runs fraction-free
-Gauss-Jordan on Python ints (Bareiss, Math. Comp. 1968), keeping each row
-primitive by dividing out the gcd of its entries in place of Bareiss's
-exact division; ``Fraction`` entries are created only by the final
-division of each pivot row by its pivot.  Prime-field elimination
-round-trips through an int64 numpy array reduced mod p (integers only,
-values stay below p^2, so no overflow and no floating point).
+columns, which every caller reads instead of rescanning the rows.  Both
+fields share one elimination loop: fraction-free Gauss-Jordan on Python
+ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
+Bareiss's exact division.  A rational row enters with its denominators
+cleared and is kept primitive (divided by the gcd of its entries); a
+GF(p) row enters as its residues and is reduced mod p after each update.
+Field scalars are created only by the final division of each pivot row by
+its pivot: ``Fraction`` over Q, :class:`~liemult.fields.Fp` over GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .fields import FieldSpec
+from .fields import FieldSpec, Fp
 
 
 class Matrix:
@@ -117,22 +115,17 @@ def _dot(u, v, zero):
     return acc
 
 
-def _rref_rational(grid: Sequence[Sequence], cols: int) -> tuple[list[list], list[int]]:
-    """Fraction-free Gauss-Jordan: integer rows, one division per pivot row.
+def _gauss_jordan(rows: list[list[int]], cols: int, normalise: Callable[[list], list]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivot columns.
 
-    Each row is scaled by the lcm of its denominators and kept primitive
-    (divided by the gcd of its entries), so it stays a nonzero multiple
-    of the row that elimination on Fractions would hold, and the same
-    pivots are chosen.  Dividing each pivot row by its pivot at the end
-    gives the canonical RREF.
+    Row i is cleared at a pivot column by ``a·row_i − f·row_pivot`` with
+    ``a`` and ``f`` first divided by ``gcd(piv, f)``, then passed through
+    ``normalise``.  ``a`` divides the pivot, a nonzero integer or a residue
+    in [1, p), so it is a unit of the field, and each row stays a nonzero
+    multiple of the row that elimination on field entries would hold: the
+    same pivots are chosen, and dividing each pivot row by its pivot gives
+    the canonical RREF.
     """
-    rows = []
-    for row in grid:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
-        g = gcd(*ints)
-        rows.append([x // g for x in ints] if g > 1 else ints)
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
@@ -151,45 +144,16 @@ def _rref_rational(grid: Sequence[Sequence], cols: int) -> tuple[list[list], lis
             if f and i != r:
                 g = gcd(piv, f)
                 a, f = piv // g, f // g
-                new = [a * x - f * y for x, y in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+                rows[i] = normalise([a * x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
-    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
-    out.extend([zero] * cols for _ in range(nrows - r))
-    return out, pivots
+    return pivots
 
 
-def _rref_prime(grid: Sequence[Sequence], cols: int, p: int) -> tuple[list[list], list[int]]:
-    from .fields import Fp
-
-    a = np.array([[x.val for x in row] for row in grid], dtype=np.int64)
-    pivots: list[int] = []
-    r = 0
-    nrows = a.shape[0]
-    for c in range(cols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r] = a[r] * pow(piv, -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        other = np.flatnonzero(col)
-        if other.size:
-            a[other] = (a[other] - np.outer(col[other], a[r])) % p
-        pivots.append(c)
-        r += 1
-    out = [[Fp(int(v), p) for v in row] for row in a]
-    return out, pivots
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -199,10 +163,24 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    if m.field.is_prime_field:
-        grid, pivots = _rref_prime(m.data, m.cols, m.field.p)
+    p = m.field.p
+    zero = m.field.zero
+    if p is None:
+        rows = []
+        for row in m.data:
+            ratios = [x.as_integer_ratio() for x in row]
+            den = lcm(*[d for _, d in ratios])
+            rows.append(_primitive([n * (den // d) for n, d in ratios]))
+        pivots = _gauss_jordan(rows, m.cols, _primitive)
+        grid = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
     else:
-        grid, pivots = _rref_rational(m.data, m.cols)
+        rows = [[x.val for x in row] for row in m.data]
+        pivots = _gauss_jordan(rows, m.cols, lambda row: [x % p for x in row])
+        grid = []
+        for row, c in zip(rows, pivots):
+            inv = pow(row[c], -1, p)
+            grid.append([Fp(x * inv, p) if x else zero for x in row])
+    grid.extend([zero] * m.cols for _ in range(m.rows - len(pivots)))
     return Matrix(m.field, grid, cols=m.cols), tuple(pivots)
 
 

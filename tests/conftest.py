@@ -4,8 +4,10 @@ The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
 `sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
 `jacobi_residuals_by_brackets` the bracket-based reference for
-`LieAlgebra.validate`, and `rref_by_fractions` the elimination on
-`Fraction` entries that `linalg.rref` replaced over Q.  `bracket_by_table`,
+`LieAlgebra.validate`, `rref_by_fractions` the elimination on
+`Fraction` entries that `linalg.rref` replaced over Q, and `rref_mod_p`
+the elimination on residues that `linalg.rref` is checked against over
+GF(p).  `bracket_by_table`,
 `center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
 read the table pair by pair, as `LieAlgebra` did before it derived every
 bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
@@ -318,6 +320,31 @@ def rref_by_fractions(grid: list[list], cols: int) -> tuple[list[list], list[int
             f = grid[i][c]
             if f:
                 grid[i] = [x - f * y for x, y in zip(grid[i], prow)]
+        pivots.append(c)
+        r += 1
+    return grid, pivots
+
+
+def rref_mod_p(grid: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on residues mod p: (reduced rows in [0, p), pivot columns)."""
+    grid = [[x % p for x in row] for row in grid]
+    pivots: list[int] = []
+    r = 0
+    nrows = len(grid)
+    for c in range(cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if grid[i][c]), None)
+        if pr is None:
+            continue
+        grid[r], grid[pr] = grid[pr], grid[r]
+        inv = pow(grid[r][c], -1, p)
+        grid[r] = [x * inv % p for x in grid[r]]
+        prow = grid[r]
+        for i in range(nrows):
+            f = grid[i][c]
+            if f and i != r:
+                grid[i] = [(x - f * y) % p for x, y in zip(grid[i], prow)]
         pivots.append(c)
         r += 1
     return grid, pivots

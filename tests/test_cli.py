@@ -362,6 +362,28 @@ def test_module_entry_point():
     assert loads_algebra(proc.stdout).dim == 4
 
 
+_THIRD_PARTY_IMPORTS = """
+import sys
+before = set(sys.modules)  # modules that site hooks loaded are not ours
+import liemult, liemult.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - {"liemult"} - set(sys.stdlib_module_names))))
+"""
+
+
+def test_import_needs_only_the_standard_library():
+    src = str(Path(liemult.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_IMPORTS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away: every write raises BrokenPipeError."""
 

@@ -12,7 +12,7 @@ def test_prime_validation():
         with pytest.raises(ValueError):
             FieldSpec(bad)
     with pytest.raises(ValueError):
-        FieldSpec(2**31 + 11)  # beyond the int64-safe bound
+        FieldSpec(2**31 + 11)  # beyond the cap that bounds the primality test
 
 
 def test_characteristic_and_kind():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersect, rref_by_fractions, subspace_sum
+from conftest import intersect, rref_by_fractions, rref_mod_p, subspace_sum
 
 from liemult import heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import cochain_complex
-from liemult.fields import gf, rationals
+from liemult.fields import Fp, gf, rationals
 from liemult.linalg import Matrix, Subspace, invert, kernel, random_invertible, rref
 
 QQ = rationals()
@@ -168,39 +168,47 @@ def test_ambient_mismatch_rejected():
         v.contains_subspace(u)
 
 
-# -- the prime-field fast path vs an independent reference --------------------
+# -- elimination over GF(p) vs elimination on residues -----------------------
 
-def _reference_rank_mod_p(rows, p):
-    """Plain bookkeeping Gaussian elimination, no numpy."""
-    grid = [list(r) for r in rows]
-    rank = 0
-    cols = len(grid[0]) if grid else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(grid)) if grid[i][c] % p), None)
-        if piv is None:
-            continue
-        grid[rank], grid[piv] = grid[piv], grid[rank]
-        inv = pow(grid[rank][c], -1, p)
-        grid[rank] = [x * inv % p for x in grid[rank]]
-        for i in range(len(grid)):
-            if i != rank and grid[i][c] % p:
-                f = grid[i][c]
-                grid[i] = [(x - f * y) % p for x, y in zip(grid[i], grid[rank])]
-        rank += 1
-    return rank
+def _prime_matrix(rng, p):
+    """Residues with zero, duplicate and dependent rows."""
+    r, c = rng.randrange(1, 9), rng.randrange(1, 9)
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * c)
+        elif rows and kind < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.45:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows.append([(a * x + b * y) % p for x, y in zip(u, v)])
+        else:
+            rows.append([rng.randrange(p) for _ in range(c)])
+    return rows, c
 
 
 def test_prime_rref_matches_reference():
     rng = random.Random(11)
-    for p in (2, 5, 7):
+    for p in (2, 3, 5, 7):
         field = gf(p)
-        for _ in range(25):
-            r = rng.randrange(1, 7)
-            c = rng.randrange(1, 7)
-            rows = [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
-            m = Matrix(field, rows, cols=c)
-            _, pivots = rref(m)
-            assert len(pivots) == _reference_rank_mod_p(rows, p)
+        cases = [_prime_matrix(rng, p) for _ in range(60)]
+        cases += [([], k) for k in range(4)]  # 0 x k
+        cases += [([[]] * k, 0) for k in range(1, 4)]  # k x 0
+        for base in (
+            heisenberg(field, 5),
+            make_catalog(CatalogId(Family.L1, abelian=2), field),
+        ):
+            L = base.change_basis(random_invertible(field, base.dim, rng))
+            d2 = cochain_complex(L).d2
+            cases.append(([[x.val for x in row] for row in d2.data], d2.cols))
+        for rows, cols in cases:
+            grid, pivots = rref_mod_p(rows, cols, p)
+            reduced, got = rref(Matrix(field, rows, cols=cols))
+            assert got == tuple(pivots)
+            assert reduced == Matrix(field, grid, cols=cols)
+            assert all(type(x) is Fp for row in reduced.data for x in row)
 
 
 def test_pivot_columns_shape():
