@@ -4,15 +4,10 @@ Bracket tables (1-based generator indices, all other pairs zero):
 
     A(n)            abelian, no brackets
     H(m)            [x1,x2] = ... = [x_{2m-1},x_{2m}] = x_{2m+1}
-    L4_3            [x1,x2] = x3,  [x1,x3] = x4
-    L5_5            [x1,x2] = x3,  [x1,x3] = x5,  [x2,x4] = x5
-    L5_8            [x1,x2] = x4,  [x1,x3] = x5
-    L6_22(eps)      [x1,x2] = x5 = [x3,x4],  [x1,x3] = x6,  [x2,x4] = eps*x6
-                    (characteristic != 2)
-    L6_7_2(eta)     [x1,x2] = x5,  [x3,x4] = x5+x6,  [x1,x3] = x6,
-                    [x2,x4] = eta*x6   (characteristic 2, eta in {0,1})
-    L1              [x1,x2] = x6 = [x3,x4],  [x1,x5] = x7 = [x2,x3]
 
+The six named stems of the paper, L4_3, L5_5, L5_8, L6_22(eps),
+L6_7_2(eta) and L1, are the rows of `STEMS`: each row holds the stem's
+presentation, its dimension, class and characteristic, and its multiplier.
 `make_catalog` appends an abelian summand A(k) after the core generators.
 The two open-ended classification verdicts (rank-2 generalized Heisenberg,
 class-3 stem of derived dimension 2) are family names only and cannot be
@@ -41,26 +36,44 @@ class Family(str, Enum):
     STEM_CLASS3_DIM2 = "stem_class3_dim2"
 
 
-#: families make_catalog can build, in CLI listing order
-CONSTRUCTIBLE = (
-    Family.ABELIAN,
-    Family.HEISENBERG,
-    Family.L4_3,
-    Family.L5_5,
-    Family.L5_8,
-    Family.L6_22,
-    Family.L6_7_2,
-    Family.L1,
-)
+PARAM = "param"  # a fourth bracket entry: the term is scaled by the family parameter
 
-_BASE_DIM = {
-    Family.L4_3: 4,
-    Family.L5_5: 5,
-    Family.L5_8: 5,
-    Family.L6_22: 6,
-    Family.L6_7_2: 6,
-    Family.L1: 7,
+
+@dataclass(frozen=True)
+class Stem:
+    """One named stem T: its presentation and the invariants the paper states for it."""
+
+    dim: int
+    nil_class: int
+    char2: bool | None  # True: characteristic 2 only; False: characteristic != 2 only; None: any
+    schur: int  # dim M(T)
+    brackets: tuple  # (i, j, k[, PARAM]): x_k is a term of [x_i, x_j], 1-based
+    flag: str | None = None  # the CLI option that sets the parameter
+    default: int | None = None  # the parameter when none is given
+    note: str = ""  # what the catalog listing says of the parameter
+
+    def allows(self, char: int) -> bool:
+        return self.char2 is None or self.char2 == (char == 2)
+
+
+#: the named stems, in CLI listing order
+STEMS = {
+    Family.L4_3: Stem(4, 3, None, 2, ((1, 2, 3), (1, 3, 4))),
+    Family.L5_5: Stem(5, 3, None, 4, ((1, 2, 3), (1, 3, 5), (2, 4, 5))),
+    Family.L5_8: Stem(5, 2, None, 6, ((1, 2, 4), (1, 3, 5))),
+    Family.L6_22: Stem(
+        6, 2, False, 8, ((1, 2, 5), (3, 4, 5), (1, 3, 6), (2, 4, 6, PARAM)),
+        flag="eps", default=1, note="--eps parameter",
+    ),
+    Family.L6_7_2: Stem(
+        6, 2, True, 8, ((1, 2, 5), (3, 4, 5), (3, 4, 6), (1, 3, 6), (2, 4, 6, PARAM)),
+        flag="eta", default=0, note="--eta in {0,1}",
+    ),
+    Family.L1: Stem(7, 2, None, 9, ((1, 2, 6), (3, 4, 6), (1, 5, 7), (2, 3, 7))),
 }
+
+#: families make_catalog can build, in CLI listing order
+CONSTRUCTIBLE = (Family.ABELIAN, Family.HEISENBERG, *STEMS)
 
 
 @dataclass(frozen=True)
@@ -77,70 +90,32 @@ class CatalogId:
             if self.rank is None or self.rank < 1:
                 raise ValueError("Heisenberg rank m >= 1 required")
             return 2 * self.rank + 1
-        try:
-            return _BASE_DIM[self.family]
-        except KeyError:
+        if self.family not in STEMS:
             raise ValueError(f"family {self.family.value} has no fixed presentation")
+        return STEMS[self.family].dim
 
     def total_dim(self) -> int:
         return self.base_dim() + self.abelian
 
 
-def _unit(field: FieldSpec, n: int, k: int, scale=None) -> tuple:
-    zero = field.zero
-    s = field.one if scale is None else field.of(scale)
-    return tuple(s if i == k else zero for i in range(n))
-
-
 def _core_table(id: CatalogId, field: FieldSpec, n: int) -> dict:
-    fam = id.family
+    fam, param = id.family, None
     if fam is Family.ABELIAN:
         return {}
     if fam is Family.HEISENBERG:
-        m = id.rank
-        return {(2 * i, 2 * i + 1): _unit(field, n, 2 * m) for i in range(m)}
-    if fam is Family.L4_3:
-        return {(0, 1): _unit(field, n, 2), (0, 2): _unit(field, n, 3)}
-    if fam is Family.L5_5:
-        return {
-            (0, 1): _unit(field, n, 2),
-            (0, 2): _unit(field, n, 4),
-            (1, 3): _unit(field, n, 4),
-        }
-    if fam is Family.L5_8:
-        return {(0, 1): _unit(field, n, 3), (0, 2): _unit(field, n, 4)}
-    if fam is Family.L6_22:
-        if field.char == 2:
-            raise ValueError("L6_22 requires characteristic != 2")
-        eps = field.of(id.param if id.param is not None else 1)
-        return {
-            (0, 1): _unit(field, n, 4),
-            (2, 3): _unit(field, n, 4),
-            (0, 2): _unit(field, n, 5),
-            (1, 3): _unit(field, n, 5, eps),
-        }
-    if fam is Family.L6_7_2:
-        if field.char != 2:
-            raise ValueError("L6_7_2 requires characteristic 2")
-        eta = field.of(id.param if id.param is not None else 0)
-        zero, one = field.zero, field.one
-        x5_plus_x6 = tuple(
-            one if i in (4, 5) else zero for i in range(n)
-        )
-        return {
-            (0, 1): _unit(field, n, 4),
-            (2, 3): x5_plus_x6,
-            (0, 2): _unit(field, n, 5),
-            (1, 3): _unit(field, n, 5, eta),
-        }
-    if fam is Family.L1:
-        return {
-            (0, 1): _unit(field, n, 5),
-            (2, 3): _unit(field, n, 5),
-            (0, 4): _unit(field, n, 6),
-            (1, 2): _unit(field, n, 6),
-        }
-    raise ValueError(f"family {fam.value} has no fixed presentation")
+        brackets = [(2 * i + 1, 2 * i + 2, n) for i in range(id.rank)]
+    else:
+        stem = STEMS[fam]
+        if not stem.allows(field.char):
+            raise ValueError(f"{fam.value} requires characteristic {'2' if stem.char2 else '!= 2'}")
+        brackets = stem.brackets
+        if stem.flag is not None:
+            param = field.of(stem.default if id.param is None else id.param)
+    zero, one, rows = field.zero, field.one, {}
+    for i, j, k, *scaled in brackets:
+        row = rows.setdefault((i - 1, j - 1), [zero] * n)
+        row[k - 1] = param if scaled else one
+    return rows
 
 
 def make_catalog(id: CatalogId, field: FieldSpec) -> LieAlgebra:

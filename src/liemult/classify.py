@@ -8,8 +8,10 @@ returns the change of basis.
 
 `classify` recognizes algebras with derived subalgebra of dimension at
 most 2 by the invariant tuple (dim L^2, nilpotency class, stem dimension,
-Heisenberg rank) and, for class-2 stems with dim L^2 = 2 of dimension
->= 7, by `has_rank2_member`: whether some member of the pencil aB1 + bB2
+Heisenberg rank); a stem with dim L^2 = 2 is the row of `catalog.STEMS`
+with its dimension, class and characteristic, if there is one.  Class-2
+stems with dim L^2 = 2 of dimension >= 7 are also told apart by
+`has_rank2_member`: whether some member of the pencil aB1 + bB2
 of alternating forms that the bracket induces has rank 2 (pencils are
 classified by the ranks of their members: Scharlau, Math. Z. 1976).  At
 dimension 7 it separates the capable L1 from the non-capable stems.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import LieAlgebra
-from .catalog import Family
+from .catalog import STEMS, Family
 from .linalg import Matrix, kernel, rref
 
 
@@ -115,7 +117,6 @@ class Classification:
     nil_class: int
     center_dim: int
     stem_dim: int
-    capable: bool | None  # None when out of scope
     rank2_member: bool | None = None  # has_rank2_member, for class-2 rank-2 stems of dim >= 7
 
     @property
@@ -137,17 +138,6 @@ class Classification:
         return core
 
 
-_ALWAYS_CAPABLE = (Family.L4_3, Family.L5_5, Family.L5_8, Family.L6_22, Family.L6_7_2, Family.L1)
-
-
-def _capable_by_family(family: Family, rank: int | None, n: int) -> bool:
-    if family is Family.ABELIAN:
-        return n != 1  # A(0) = A(1)/Z(A(1)); A(1) is the one abelian non-capable algebra
-    if family is Family.HEISENBERG:
-        return rank == 1
-    return family in _ALWAYS_CAPABLE
-
-
 def classify(L: LieAlgebra) -> Classification:
     series = L.series()
     if not series.is_nilpotent:
@@ -158,30 +148,21 @@ def classify(L: LieAlgebra) -> Classification:
     zdim = series.center.dim
 
     if d == 0:
-        fam = Family.ABELIAN
-        return Classification(fam, None, n, n, 0, cls, zdim, 0, _capable_by_family(fam, None, n))
+        return Classification(Family.ABELIAN, None, n, n, 0, cls, zdim, 0)
 
     if d == 1:
         m = heisenberg_rank(L)
-        fam = Family.HEISENBERG
-        return Classification(fam, m, n - 2 * m - 1, n, 1, cls, zdim, 2 * m + 1,
-                              _capable_by_family(fam, m, n))
+        return Classification(Family.HEISENBERG, m, n - 2 * m - 1, n, 1, cls, zdim, 2 * m + 1)
 
     if d == 2:
+        if cls not in (2, 3):
+            raise AssertionError(f"dim L^2 = 2 forces class 2 or 3, got {cls}")
         s = stem_decompose(L).stem_dim
         rank2 = has_rank2_member(L) if cls == 2 and s >= 7 else None
-        if cls == 2:
-            fam = {5: Family.L5_8, 6: Family.L6_22, 7: Family.L1}.get(s, Family.GEN_HEISENBERG_RANK2)
-            if s == 6 and L.field.char == 2:
-                fam = Family.L6_7_2
-            if rank2:
-                fam = Family.GEN_HEISENBERG_RANK2
-        elif cls == 3:
-            fam = {4: Family.L4_3, 5: Family.L5_5}.get(s, Family.STEM_CLASS3_DIM2)
-        else:
-            raise AssertionError(f"dim L^2 = 2 forces class 2 or 3, got {cls}")
-        return Classification(fam, None, n - s, n, 2, cls, zdim, s,
-                              _capable_by_family(fam, None, n), rank2)
+        fam = Family.GEN_HEISENBERG_RANK2 if cls == 2 else Family.STEM_CLASS3_DIM2
+        if not rank2:
+            fam = next((f for f, t in STEMS.items()
+                        if (t.dim, t.nil_class) == (s, cls) and t.allows(L.field.char)), fam)
+        return Classification(fam, None, n - s, n, 2, cls, zdim, s, rank2)
 
-    return Classification(None, None, 0, n, d, cls, zdim,
-                          stem_decompose(L).stem_dim, None)
+    return Classification(None, None, 0, n, d, cls, zdim, stem_decompose(L).stem_dim)

@@ -20,7 +20,7 @@ import random
 import sys
 from pathlib import Path
 
-from .catalog import CONSTRUCTIBLE, CatalogId, Family, make_catalog
+from .catalog import CONSTRUCTIBLE, STEMS, CatalogId, Family, make_catalog
 from .document import (
     DocumentError,
     algebra_to_document,
@@ -32,18 +32,6 @@ from .fields import FieldSpec, rationals
 from .linalg import random_invertible
 from .report import DEFAULT_SWEEP_PRIME, build_report
 from .verify import builtin_suite, cross_check, run_suite
-
-_CATALOG_HELP = {
-    Family.ABELIAN: ("A", 0, "abelian; total dimension = --abelian K"),
-    Family.HEISENBERG: ("H", None, "Heisenberg H(m), dim 2m+1; needs --m"),
-    Family.L4_3: ("L4_3", 4, "class-3 stem, dim 4"),
-    Family.L5_5: ("L5_5", 5, "class-3 stem, dim 5"),
-    Family.L5_8: ("L5_8", 5, "class-2 stem, dim 5"),
-    Family.L6_22: ("L6_22", 6, "class-2 stem, dim 6, --eps parameter, char != 2"),
-    Family.L6_7_2: ("L6_7_2", 6, "class-2 stem, dim 6, --eta in {0,1}, char = 2"),
-    Family.L1: ("L1", 7, "class-2 stem, dim 7"),
-}
-
 
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "prime", None) is not None:
@@ -85,10 +73,15 @@ def cmd_validate(args) -> int:
 def cmd_catalog(args) -> int:
     if args.list:
         print(f"{'name':<8} {'dim':<10} notes")
-        for fam in CONSTRUCTIBLE:
-            name, base, note = _CATALOG_HELP[fam]
-            dim = "2m+1" if fam is Family.HEISENBERG else str(base)
-            print(f"{name:<8} {dim:<10} {note}")
+        print(f"{'A':<8} {'0':<10} abelian; total dimension = --abelian K")
+        print(f"{'H':<8} {'2m+1':<10} Heisenberg H(m), dim 2m+1; needs --m")
+        for fam, stem in STEMS.items():
+            note = f"class-{stem.nil_class} stem, dim {stem.dim}"
+            if stem.note:
+                note += f", {stem.note}"
+            if stem.char2 is not None:
+                note += ", char = 2" if stem.char2 else ", char != 2"
+            print(f"{fam.value:<8} {stem.dim:<10} {note}")
         return 0
     if not args.name:
         _print_err("catalog needs a family name (or --list)")
@@ -101,13 +94,15 @@ def cmd_catalog(args) -> int:
     if family not in CONSTRUCTIBLE:
         _print_err(f"{args.name} is a classification verdict, not a constructible family")
         return 1
+    owners = {"m": Family.HEISENBERG, **{t.flag: f for f, t in STEMS.items() if t.flag}}
+    for flag, owner in owners.items():
+        if getattr(args, flag) is not None and family is not owner:
+            _print_err(f"--{flag} applies only to {owner.value}")
+            return 1
+    raw = args.eps if args.eps is not None else args.eta  # given only to the family that takes it
     try:
         field = _field_from_args(args)
-        param = None
-        if family is Family.L6_22 and args.eps is not None:
-            param = field.parse(args.eps)
-        if family is Family.L6_7_2 and args.eta is not None:
-            param = field.parse(args.eta)
+        param = None if raw is None else field.parse(raw)
         cid = CatalogId(family, rank=args.m, param=param, abelian=args.abelian)
         algebra = make_catalog(cid, field)
     except (ValueError, TypeError) as exc:

@@ -1,10 +1,19 @@
 """Closed-form dimensions keyed on the classification verdict.
 
-All formulas are stated in terms of the total dimension n (abelian
-summand included), and every value is one exact integer.  A non-capable
-class-2 rank-2 stem has multiplier (n-2)(n-3)/2 when its pencil of forms
-has a rank-2 member (`Classification.rank2_member`), two less when not.
-Derived quantities:
+Every value is one exact integer.  The multiplier of L = T + A(k), with T
+a stem of dimension s, comes from the direct-sum rule
+
+    dim M(A + B) = dim M(A) + dim M(B) + dim(A/A^2) dim(B/B^2)
+
+(Batten, Moneyhun and Stitzinger, Comm. Algebra 1996):
+
+    multiplier = M(T) + k(k-1)/2 + (s - dim L^2) k
+
+M(T) is the `catalog.STEMS` row of a named stem; (s-1)(s-2)/2 + 1 for
+H(1) and (s-1)(s-2)/2 - 1 for H(m), m >= 2; 0 for A(k); and (s-2)(s-3)/2
+for the two open-ended verdicts, two less for a rank-2 stem whose pencil of
+forms has no rank-2 member (`Classification.rank2_member`).
+Derived quantities, with n = s + k:
 
     exterior  = multiplier + dim L^2          (kernel of the commutator map)
     square    = m(m+1)/2,  m = n - dim L^2    (diagonal summand of the tensor square)
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import Family
+from .catalog import STEMS, Family
 from .classify import Classification
 
 
@@ -46,32 +55,28 @@ def rule_id(c: Classification) -> str:
     return f"capable-{fam.value}"
 
 
-def schur_dim(c: Classification) -> int:
-    """Multiplier dimension by family."""
-    _require_in_scope(c)
-    n = c.n
+def _stem_schur(c: Classification) -> int:
+    """dim M(T) for the stem T of dimension s = c.stem_dim."""
+    s = c.stem_dim
     fam = c.family
     if fam is Family.ABELIAN:
-        return _half(n * (n - 1))
+        return 0
     if fam is Family.HEISENBERG:
-        base = _half((n - 1) * (n - 2))
+        base = _half((s - 1) * (s - 2))
         return base + 1 if c.rank == 1 else base - 1
-    if fam is Family.L5_8:
-        return _half(n * (n - 5)) + 6
-    if fam in (Family.L6_22, Family.L6_7_2):
-        return _half((n + 1) * (n - 6)) + 8
-    if fam is Family.L1:
-        return _half((n + 2) * (n - 7)) + 9
-    if fam is Family.L4_3:
-        return _half((n - 1) * (n - 4)) + 2
-    if fam is Family.L5_5:
-        return _half(n * (n - 5)) + 4
-    if fam is Family.GEN_HEISENBERG_RANK2:
-        top = _half((n - 2) * (n - 3))
-        return top if c.rank2_member else top - 2
-    if fam is Family.STEM_CLASS3_DIM2:
-        return _half((n - 2) * (n - 3))
-    raise AssertionError(f"unhandled family {fam}")
+    if fam in STEMS:
+        return STEMS[fam].schur
+    top = _half((s - 2) * (s - 3))
+    if fam is Family.GEN_HEISENBERG_RANK2 and not c.rank2_member:
+        return top - 2
+    return top
+
+
+def schur_dim(c: Classification) -> int:
+    """Multiplier dimension: M(T) plus what the summand A(k) adds."""
+    _require_in_scope(c)
+    k = c.abelian
+    return _stem_schur(c) + _half(k * (k - 1)) + (c.stem_dim - c.derived_dim) * k
 
 
 def square_dim(n: int, derived_dim: int) -> int:
@@ -94,7 +99,11 @@ def corank(c: Classification) -> int:
 
 def is_capable(c: Classification) -> bool:
     _require_in_scope(c)
-    return bool(c.capable)
+    if c.family is Family.ABELIAN:
+        return c.n != 1  # A(0) = A(1)/Z(A(1)); A(1) is the one abelian non-capable algebra
+    if c.family is Family.HEISENBERG:
+        return c.rank == 1
+    return c.family in STEMS
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra
-from .catalog import CatalogId, Family, make_catalog
+from .catalog import STEMS, CatalogId, Family, make_catalog
 from .classify import Classification, classify
 from .cohomology import OracleReport, oracle_report
 from .fields import gf, rationals
@@ -106,7 +106,7 @@ def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
     add(f"L4_3[GF({prime})]", named(Family.L4_3, gp))
     add(f"L5_5[GF({prime})]", named(Family.L5_5, gp))
     add(f"L5_8[GF({prime})]", named(Family.L5_8, gp))
-    if prime != 2:
+    if STEMS[Family.L6_22].allows(prime):
         add(f"L6_22(1)[GF({prime})]", named(Family.L6_22, gp, param=1))
     add(f"L1[GF({prime})]", named(Family.L1, gp))
 

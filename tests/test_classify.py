@@ -7,7 +7,7 @@ from conftest import intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_clas
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member, heisenberg_rank, stem_decompose
-from liemult.formulas import schur_dim
+from liemult.formulas import is_capable, schur_dim
 from liemult.fields import gf, rationals
 from liemult.linalg import random_invertible
 
@@ -100,19 +100,19 @@ def test_heisenberg_rank_preconditions():
 
 def test_classify_abelian():
     c = classify(abelian(QQ, 1))
-    assert c.family is Family.ABELIAN and not c.capable
+    assert c.family is Family.ABELIAN and not is_capable(c)
     c = classify(abelian(QQ, 6))
-    assert c.family is Family.ABELIAN and c.capable and c.abelian == 6 and c.stem_dim == 0
+    assert c.family is Family.ABELIAN and is_capable(c) and c.abelian == 6 and c.stem_dim == 0
 
 
 def test_classify_heisenberg_families():
     c = classify(direct_sum(heisenberg(QQ, 1), abelian(QQ, 4)))
     assert c.family is Family.HEISENBERG and c.rank == 1 and c.abelian == 4
-    assert c.capable
+    assert is_capable(c)
 
     c = classify(heisenberg(QQ, 2))
     assert c.family is Family.HEISENBERG and c.rank == 2 and c.abelian == 0
-    assert not c.capable
+    assert not is_capable(c)
 
 
 CATALOG_IDS = [
@@ -153,7 +153,7 @@ def test_classify_class3_big_stem():
     c = classify(stem6_class3(QQ))
     assert c.family is Family.STEM_CLASS3_DIM2
     assert c.stem_dim == 6 and c.abelian == 0
-    assert c.capable is False
+    assert is_capable(c) is False
 
     c = classify(direct_sum(stem6_class3(QQ), abelian(QQ, 2)))
     assert c.family is Family.STEM_CLASS3_DIM2 and c.abelian == 2
@@ -163,7 +163,7 @@ def test_classify_gen_heisenberg_rank2():
     L = direct_sum(heisenberg(QQ, 1), heisenberg(QQ, 2))  # 8-dim rank-2 stem
     c = classify(L)
     assert c.family is Family.GEN_HEISENBERG_RANK2
-    assert c.stem_dim == 8 and not c.capable
+    assert c.stem_dim == 8 and not is_capable(c)
 
 
 def test_classify_known_fingerprint_collision():
@@ -171,7 +171,7 @@ def test_classify_known_fingerprint_collision():
     # L1; a rank-2 member of its pencil of forms tells the two apart.
     c = classify(stem7_rank2(QQ))
     assert c.family is Family.GEN_HEISENBERG_RANK2
-    assert c.stem_dim == 7 and c.rank2_member and not c.capable
+    assert c.stem_dim == 7 and c.rank2_member and not is_capable(c)
     assert schur_dim(c) == 10
     c = classify(make_catalog(CatalogId(Family.L1), QQ))
     assert c.family is Family.L1 and c.rank2_member is False
@@ -206,7 +206,9 @@ def test_class3_stems_have_one_dim_top():
 def test_classify_out_of_scope():
     c = classify(out_of_scope_algebra(QQ))
     assert not c.in_scope
-    assert c.family is None and c.capable is None
+    assert c.family is None
+    with pytest.raises(ValueError):
+        is_capable(c)
     assert c.derived_dim == 3
     assert "out of scope" in c.describe()
 

@@ -103,13 +103,36 @@ def test_catalog_guards(capsys):
     assert main(["catalog", "nope"]) == 1
     assert main(["catalog"]) == 1
     capsys.readouterr()
+    # a flag the family does not take is a usage error, not dropped
+    cases = [
+        (["catalog", "L4_3", "--eps", "5"], "error: --eps applies only to L6_22\n"),
+        (["catalog", "L6_22", "--eta", "1"], "error: --eta applies only to L6_7_2\n"),
+        (["catalog", "L6_7_2", "--eps", "1", "--prime", "2"], "error: --eps applies only to L6_22\n"),
+        (["catalog", "A", "--m", "3"], "error: --m applies only to H\n"),
+        (["catalog", "L1", "--m", "1"], "error: --m applies only to H\n"),
+        (["catalog", "H", "--m", "1", "--eta", "0"], "error: --eta applies only to L6_7_2\n"),
+    ]
+    for argv, err in cases:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", err)
+
+
+CATALOG_LIST = """\
+name     dim        notes
+A        0          abelian; total dimension = --abelian K
+H        2m+1       Heisenberg H(m), dim 2m+1; needs --m
+L4_3     4          class-3 stem, dim 4
+L5_5     5          class-3 stem, dim 5
+L5_8     5          class-2 stem, dim 5
+L6_22    6          class-2 stem, dim 6, --eps parameter, char != 2
+L6_7_2   6          class-2 stem, dim 6, --eta in {0,1}, char = 2
+L1       7          class-2 stem, dim 7
+"""
 
 
 def test_catalog_list(capsys):
     assert main(["catalog", "--list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("A", "H", "L4_3", "L5_5", "L5_8", "L6_22", "L6_7_2", "L1"):
-        assert name in out
+    assert capsys.readouterr().out == CATALOG_LIST
 
 
 def test_catalog_abelian(capsys):
@@ -419,6 +442,7 @@ def test_module_entry_point_closed_pipe():
         env={**os.environ, "PYTHONPATH": path},
     )
     proc.stdout.close()  # the reader is gone before the child writes
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait() == 1
     assert err == ""
