@@ -29,32 +29,35 @@ def cls_of(cid, field=QQ):
 
 
 # multiplier / exterior / tensor of the six named stems at their base dimension
-BASE_POINTS = {
-    Family.L4_3: (2, 4, 7),
-    Family.L5_5: (4, 6, 12),
-    Family.L5_8: (6, 8, 14),
-    Family.L6_22: (8, 10, 20),
-    Family.L6_7_2: (8, 10, 20),
-    Family.L1: (9, 11, 26),
-}
+BASE_POINTS = [
+    (CatalogId(Family.L5_8), QQ, 6, 8, 14),
+    (CatalogId(Family.L6_22, param=1), QQ, 8, 10, 20),
+    (CatalogId(Family.L6_7_2, param=1), G2, 8, 10, 20),
+    (CatalogId(Family.L1), QQ, 9, 11, 26),
+    (CatalogId(Family.L4_3), QQ, 2, 4, 7),
+    (CatalogId(Family.L5_5), QQ, 4, 6, 12),
+]
 
 
-@pytest.mark.parametrize("family", STEMS, ids=lambda f: f.value)
-def test_named_stem_base_points(family):
+def test_base_points_cover_stem_table():
+    assert sorted(cid.family.value for cid, *_ in BASE_POINTS) == sorted(f.value for f in STEMS)
+
+
+@pytest.mark.parametrize("cid,field,m,wedge,tensor", BASE_POINTS)
+def test_named_stem_base_points(cid, field, m, wedge, tensor):
     # every row of the stem table is checked against its own algebra and the oracle
-    stem = STEMS[family]
-    field, refused = (G2, QQ) if stem.char2 else (QQ, G2)
-    L = make_catalog(CatalogId(family), field)
+    stem = STEMS[cid.family]
+    L = make_catalog(cid, field)
     c = classify(L)
-    assert (c.family, c.stem_dim, c.nil_class, c.abelian) == (family, stem.dim, stem.nil_class, 0)
+    assert (c.family, c.stem_dim, c.nil_class, c.abelian) == (cid.family, stem.dim, stem.nil_class, 0)
     assert schur_dim_oracle(L) == stem.schur
-    m, wedge, tensor = BASE_POINTS[family]
     assert schur_dim(c) == m
     assert exterior_dim(c) == wedge
     assert tensor_dim(c) == tensor
     if stem.char2 is not None:
+        refused = QQ if stem.char2 else G2
         with pytest.raises(ValueError, match="requires characteristic"):
-            make_catalog(CatalogId(family), refused)
+            make_catalog(cid, refused)
 
 
 def test_abelian_values():
