@@ -10,30 +10,19 @@ exterior-square pairing read off the same reduced differential).
 
 from .algebra import LieAlgebra, SeriesReport, abelian, direct_sum, reduce_mod_p
 from .catalog import CatalogId, Family, heisenberg, make_catalog
-from .classify import (Classification, StemDecomposition, classify, has_rank2_member,
-                       heisenberg_rank, stem_decompose)
+from .classify import Classification, StemDecomposition, classify, has_rank2_member, stem_decompose
 from .cohomology import (
     CochainComplexSlice,
     ComplexIntegrityError,
     OracleReport,
     cochain_complex,
     epicenter,
-    is_capable_oracle,
     oracle_report,
     schur_dim_oracle,
 )
 from .document import DocumentError, dumps_algebra, loads_algebra
 from .fields import FieldSpec, Fp, gf, rationals
-from .formulas import (
-    FunctorReport,
-    corank,
-    exterior_dim,
-    functor_report,
-    is_capable,
-    schur_dim,
-    square_dim,
-    tensor_dim,
-)
+from .formulas import FunctorReport, functor_report
 from .linalg import Matrix, Subspace, kernel, invert, random_invertible, rref
 from .verify import CrossCheckReport, builtin_suite, cross_check, run_suite
 
@@ -60,20 +49,15 @@ __all__ = [
     "builtin_suite",
     "classify",
     "cochain_complex",
-    "corank",
     "cross_check",
     "direct_sum",
     "dumps_algebra",
     "epicenter",
-    "exterior_dim",
     "functor_report",
     "gf",
     "has_rank2_member",
     "heisenberg",
-    "heisenberg_rank",
     "invert",
-    "is_capable",
-    "is_capable_oracle",
     "kernel",
     "loads_algebra",
     "make_catalog",
@@ -83,9 +67,6 @@ __all__ = [
     "reduce_mod_p",
     "rref",
     "run_suite",
-    "schur_dim",
     "schur_dim_oracle",
-    "square_dim",
     "stem_decompose",
-    "tensor_dim",
 ]

@@ -142,10 +142,6 @@ class LieAlgebra:
         lower = self.series().lower_central
         return lower[min(1, len(lower) - 1)]
 
-    def center(self) -> Subspace:
-        """Z(L), read from the series."""
-        return self.series().center
-
     def series(self) -> "SeriesReport":
         """Lower central series, derived series, center, nilpotency class.
 

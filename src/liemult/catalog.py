@@ -123,6 +123,10 @@ def make_catalog(id: CatalogId, field: FieldSpec) -> LieAlgebra:
     if id.abelian < 0:
         raise ValueError("abelian summand must be >= 0")
     base = id.base_dim()
+    if id.rank is not None and id.family is not Family.HEISENBERG:
+        raise ValueError(f"family {id.family.value} takes no rank")
+    if id.param is not None and (id.family not in STEMS or STEMS[id.family].flag is None):
+        raise ValueError(f"family {id.family.value} takes no parameter")
     core = LieAlgebra(field, base, _core_table(id, field, base))
     if id.abelian == 0:
         return core

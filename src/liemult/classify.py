@@ -61,19 +61,6 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     return StemDecomposition(p, len(stem_rows), len(abelian_rows))
 
 
-def heisenberg_rank(L: LieAlgebra) -> int:
-    """Rank m with L isomorphic to H(m) + A(n-2m-1); needs dim L^2 = 1."""
-    series = L.series()
-    if not series.is_nilpotent:
-        raise ValueError("algebra is not nilpotent")
-    if series.derived_dim != 1:
-        raise ValueError(f"heisenberg_rank needs dim L^2 = 1, got {series.derived_dim}")
-    spread = L.dim - series.center.dim
-    if spread <= 0 or spread % 2 != 0:
-        raise ValueError("center dimension inconsistent with a Heisenberg structure")
-    return spread // 2
-
-
 def has_rank2_member(L: LieAlgebra) -> bool:
     """Whether some member aB1 + bB2 of L's pencil of forms has rank 2 (class 2, dim L^2 = 2).
 
@@ -150,8 +137,10 @@ def classify(L: LieAlgebra) -> Classification:
     if d == 0:
         return Classification(Family.ABELIAN, None, n, n, 0, cls, zdim, 0)
 
-    if d == 1:
-        m = heisenberg_rank(L)
+    if d == 1:  # L = H(m) + A(k) with Z(L) = L^2 + A(k), so n - dim Z = 2m
+        if (n - zdim) % 2:
+            raise AssertionError(f"dim L^2 = 1 forces an even n - dim Z, got {n - zdim}")
+        m = (n - zdim) // 2
         return Classification(Family.HEISENBERG, m, n - 2 * m - 1, n, 1, cls, zdim, 2 * m + 1)
 
     if d == 2:

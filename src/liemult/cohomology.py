@@ -167,11 +167,6 @@ def epicenter(L: LieAlgebra) -> Subspace:
     return _exterior_centre(L, *rref(cochain_complex(L).d2))
 
 
-def is_capable_oracle(L: LieAlgebra) -> bool:
-    """Capability: the epicenter vanishes."""
-    return epicenter(L).dim == 0
-
-
 @dataclass(frozen=True)
 class OracleReport:
     schur: int

@@ -1,7 +1,9 @@
 """Closed-form dimensions keyed on the classification verdict.
 
-Every value is one exact integer.  The multiplier of L = T + A(k), with T
-a stem of dimension s, comes from the direct-sum rule
+`functor_report(c)` is the one entry point: it returns every closed form
+for the verdict `c`, each one exact integer, with the multiplier computed
+once.  The multiplier of L = T + A(k), with T a stem of dimension s, comes
+from the direct-sum rule
 
     dim M(A + B) = dim M(A) + dim M(B) + dim(A/A^2) dim(B/B^2)
 
@@ -35,80 +37,28 @@ def _half(x: int) -> int:
     return x // 2
 
 
-def _require_in_scope(c: Classification):
-    if not c.in_scope:
-        raise ValueError("classification is out of scope (dim L^2 > 2)")
-
-
-def rule_id(c: Classification) -> str:
-    """Which closed form applies; self-describing, used in report verdicts."""
-    _require_in_scope(c)
-    fam = c.family
+def _stem(c: Classification) -> tuple[str, int, bool]:
+    """(rule, dim M(T), capable) for the verdict's stem T of dimension s = c.stem_dim."""
+    s, fam = c.stem_dim, c.family
     if fam is Family.ABELIAN:
-        return "abelian"
-    if fam is Family.HEISENBERG:
-        return "heisenberg-rank1" if c.rank == 1 else "heisenberg-rank-ge2"
-    if fam is Family.GEN_HEISENBERG_RANK2:
-        return "noncapable-class2-rank2"
-    if fam is Family.STEM_CLASS3_DIM2:
-        return "noncapable-class3-stem"
-    return f"capable-{fam.value}"
-
-
-def _stem_schur(c: Classification) -> int:
-    """dim M(T) for the stem T of dimension s = c.stem_dim."""
-    s = c.stem_dim
-    fam = c.family
-    if fam is Family.ABELIAN:
-        return 0
+        # A(0) = A(1)/Z(A(1)); A(1) is the one abelian non-capable algebra
+        return "abelian", 0, c.n != 1
     if fam is Family.HEISENBERG:
         base = _half((s - 1) * (s - 2))
-        return base + 1 if c.rank == 1 else base - 1
+        if c.rank == 1:
+            return "heisenberg-rank1", base + 1, True
+        return "heisenberg-rank-ge2", base - 1, False
     if fam in STEMS:
-        return STEMS[fam].schur
+        return f"capable-{fam.value}", STEMS[fam].schur, True
     top = _half((s - 2) * (s - 3))
-    if fam is Family.GEN_HEISENBERG_RANK2 and not c.rank2_member:
-        return top - 2
-    return top
-
-
-def schur_dim(c: Classification) -> int:
-    """Multiplier dimension: M(T) plus what the summand A(k) adds."""
-    _require_in_scope(c)
-    k = c.abelian
-    return _stem_schur(c) + _half(k * (k - 1)) + (c.stem_dim - c.derived_dim) * k
-
-
-def square_dim(n: int, derived_dim: int) -> int:
-    """dim of the diagonal summand: m(m+1)/2 with m = n - dim L^2."""
-    m = n - derived_dim
-    return _half(m * (m + 1))
-
-
-def exterior_dim(c: Classification) -> int:
-    return schur_dim(c) + c.derived_dim
-
-
-def tensor_dim(c: Classification) -> int:
-    return exterior_dim(c) + square_dim(c.n, c.derived_dim)
-
-
-def corank(c: Classification) -> int:
-    return _half(c.n * (c.n - 1)) - schur_dim(c)
-
-
-def is_capable(c: Classification) -> bool:
-    _require_in_scope(c)
-    if c.family is Family.ABELIAN:
-        return c.n != 1  # A(0) = A(1)/Z(A(1)); A(1) is the one abelian non-capable algebra
-    if c.family is Family.HEISENBERG:
-        return c.rank == 1
-    return c.family in STEMS
+    if fam is Family.GEN_HEISENBERG_RANK2:
+        return "noncapable-class2-rank2", top if c.rank2_member else top - 2, False
+    return "noncapable-class3-stem", top, False
 
 
 @dataclass(frozen=True)
 class FunctorReport:
-    rule: str
+    rule: str  # which closed form applies; self-describing, used in report verdicts
     schur: int
     exterior: int
     tensor: int
@@ -118,13 +68,12 @@ class FunctorReport:
 
 
 def functor_report(c: Classification) -> FunctorReport:
-    _require_in_scope(c)
-    return FunctorReport(
-        rule=rule_id(c),
-        schur=schur_dim(c),
-        exterior=exterior_dim(c),
-        tensor=tensor_dim(c),
-        square=square_dim(c.n, c.derived_dim),
-        corank=corank(c),
-        capable=is_capable(c),
-    )
+    if not c.in_scope:
+        raise ValueError("classification is out of scope (dim L^2 > 2)")
+    rule, stem_schur, capable = _stem(c)
+    n, d, k = c.n, c.derived_dim, c.abelian
+    schur = stem_schur + _half(k * (k - 1)) + (c.stem_dim - d) * k
+    exterior = schur + d
+    square = _half((n - d) * (n - d + 1))
+    corank = _half(n * (n - 1)) - schur
+    return FunctorReport(rule, schur, exterior, exterior + square, square, corank, capable)

@@ -56,11 +56,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
-
     def row(self, i: int) -> tuple:
         return self.data[i]
 
@@ -247,10 +242,6 @@ class Subspace:
         reduced, pivots = rref(m)
         basis = Matrix(field, reduced.data[: len(pivots)], cols=ambient)
         return cls(field, ambient, basis, pivots)
-
-    @classmethod
-    def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls.span(field, ambient, [])
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":

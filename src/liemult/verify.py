@@ -117,10 +117,9 @@ def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
             add(f"H({m})+A({k})[GF({prime})]", alg)
     add(f"H(4)[GF({prime})]", make_catalog(CatalogId(Family.HEISENBERG, rank=4), gp))
 
-    # Abelian algebras; capability checked only at small dimension.
+    # Abelian algebras.
     for n in range(1, 7):
-        alg = make_catalog(CatalogId(Family.ABELIAN, abelian=n), qq)
-        add(f"A({n})[Q]", alg, prime if n <= 4 else None)
+        add(f"A({n})[Q]", make_catalog(CatalogId(Family.ABELIAN, abelian=n), qq), prime)
 
     # Abelian-summand sweeps of the capable families.
     for k in (1, 2):

@@ -7,7 +7,8 @@ tests; they exercise structure outside the named catalog families.
 `LieAlgebra.validate`, `rref_by_fractions` the elimination on
 `Fraction` entries that `linalg.rref` replaced over Q, and `rref_mod_p`
 the elimination on residues that `linalg.rref` is checked against over
-GF(p).  `bracket_by_table`,
+GF(p).  `wrong_stem_multiplier` plants an error in the closed forms for the
+tests that check a mismatch is caught.  `bracket_by_table`,
 `center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
 read the table pair by pair, as `LieAlgebra` did before it derived every
 bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 
+import liemult.formulas as formulas
 from liemult import LieAlgebra, direct_sum, heisenberg
 from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
@@ -145,6 +147,17 @@ def non_nilpotent(field: FieldSpec) -> LieAlgebra:
     return LieAlgebra(field, 2, {(0, 1): unit(2, 1)})
 
 
+def wrong_stem_multiplier(monkeypatch, error=lambda c: 1):
+    """Add `error(c)` to M(T) in every closed form, so the multiplier and all it fixes go wrong."""
+    real = formulas._stem
+
+    def wrong(c):
+        rule, schur, capable = real(c)
+        return rule, schur + error(c), capable
+
+    monkeypatch.setattr(formulas, "_stem", wrong)
+
+
 def _central_lines(field, basis_rows, p: int):
     """All one-dimensional subspaces of the span, one normalized vector each."""
     d = len(basis_rows)
@@ -177,7 +190,7 @@ def sweep_epicenter(L: LieAlgebra) -> Subspace:
         raise ValueError("algebra is not nilpotent")
     center = series.center
     if center.dim == 0:
-        return Subspace.zero(L.field, L.dim)
+        return Subspace.span(L.field, L.dim, [])
     derived = L.derived_subalgebra()
     m_full = schur_dim_oracle(L)
     p = L.field.p
@@ -364,7 +377,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.field != v.field or u.ambient != v.ambient:
         raise ValueError("intersect needs subspaces of one field and ambient dimension")
     if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.field, u.ambient)
+        return Subspace.span(u.field, u.ambient, [])
     negated = [[-x for x in row] for row in v.basis.data]
     stacked = Matrix(u.field, list(u.basis.data) + negated, cols=u.ambient)
     coeffs = kernel(stacked.transpose())

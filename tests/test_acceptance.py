@@ -16,12 +16,11 @@ from liemult.cohomology import (
     ComplexIntegrityError,
     cochain_complex,
     epicenter,
-    is_capable_oracle,
     oracle_report,
     schur_dim_oracle,
 )
 from liemult.fields import gf, rationals
-from liemult.formulas import corank, exterior_dim, schur_dim, tensor_dim
+from liemult.formulas import functor_report
 from liemult.linalg import random_invertible, rref
 
 QQ = rationals()
@@ -59,8 +58,7 @@ def test_criterion_01_golden_multiplier_table():
     start = time.perf_counter()
     for name, cid, field, m_expected, _, _ in GOLDEN_SIX:
         L = _touch(make_catalog(cid, field))
-        c = classify(L)
-        assert schur_dim(c) == m_expected, name
+        assert functor_report(classify(L)).schur == m_expected, name
         assert schur_dim_oracle(L) == m_expected, name
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"golden table took {elapsed:.2f}s"
@@ -80,24 +78,23 @@ def test_criterion_03_heisenberg_family():
     for m in range(1, 5):
         for k in range(0, 4):
             L = _touch(heisenberg(G5, m, k))
-            c = classify(L)
-            formula = schur_dim(c)
+            formula = functor_report(classify(L)).schur
             oracle = schur_dim_oracle(L)
             assert formula == oracle, (m, k)
             if k == 0:
                 expected = 2 if m == 1 else 2 * m * m - m - 1
                 assert oracle == expected, (m, k)
-            assert is_capable_oracle(L) == (m == 1), (m, k)
+            assert (epicenter(L).dim == 0) == (m == 1), (m, k)
     _passed(3, "H(m)+A(k) grid m<=4 k<=3: formula = oracle, capable over GF(5) iff m = 1")
 
 
 def test_criterion_04_abelian_family():
     for n in range(1, 9):
         L = _touch(abelian(QQ, n))
-        c = classify(L)
-        assert schur_dim(c) == n * (n - 1) // 2 == schur_dim_oracle(L)
-        assert tensor_dim(c) == n * n == oracle_report(L).tensor
-        assert corank(c) == 0
+        fr = functor_report(classify(L))
+        assert fr.schur == n * (n - 1) // 2 == schur_dim_oracle(L)
+        assert fr.tensor == n * n == oracle_report(L).tensor
+        assert fr.corank == 0
     _passed(4, "A(n) n<=8: multiplier n(n-1)/2, tensor n^2, corank 0")
 
 
@@ -118,13 +115,13 @@ def test_criterion_05_capable_family_closed_forms():
         for k in range(0, 5):
             swept = CatalogId(cid.family, rank=cid.rank, param=cid.param, abelian=k)
             L = _touch(make_catalog(swept, field))
-            c = classify(L)
+            fr = functor_report(classify(L))
             n = L.dim
-            assert schur_dim(c) == schur_dim_oracle(L), (cid.family, k)
+            assert fr.schur == schur_dim_oracle(L), (cid.family, k)
             r = oracle_report(L)
-            assert exterior_dim(c) == r.exterior, (cid.family, k)
-            assert tensor_dim(c) == r.tensor, (cid.family, k)
-            assert corank(c) == corank_form(n), (cid.family, k)
+            assert fr.exterior == r.exterior, (cid.family, k)
+            assert fr.tensor == r.tensor, (cid.family, k)
+            assert fr.corank == corank_form(n), (cid.family, k)
             checked += 1
     assert checked == 35
     _passed(5, "closed forms for all capable families, abelian summands swept to base+4")
@@ -138,14 +135,13 @@ def test_criterion_06_noncapable_class3_stem():
     assert rep.derived_dim == 2
     assert intersect(rep.center, rep.lower_central[1]) == rep.center  # stem: Z in L^2
     n = T.dim
-    c = classify(T)
-    assert schur_dim(c) == (n - 2) * (n - 3) // 2 == 6
+    assert functor_report(classify(T)).schur == (n - 2) * (n - 3) // 2 == 6
     assert schur_dim_oracle(T) == 6
     r = oracle_report(T)
     assert r.exterior == 8
     assert r.tensor == n * n - 4 * n + 6 == 18
     epi = epicenter(T)
-    assert epi.dim == 1 and epi == T.center()
+    assert epi.dim == 1 and epi == rep.center
     _passed(6, "6-dim class-3 stem: multiplier 6, exterior 8, tensor 18, unicentral over GF(5)")
 
 
@@ -186,13 +182,13 @@ def test_criterion_07_exact_sequence_suite():
         _touch(L)
         d = L.derived_subalgebra().dim
         m = L.dim - d
-        c = classify(L)
+        fr = functor_report(classify(L))
         r = oracle_report(L)  # one cochain complex: the multiplier is r.schur
         assert r.exterior - r.schur == d
         assert r.tensor - r.exterior == m * (m + 1) // 2
-        assert schur_dim(c) == r.schur
-        assert exterior_dim(c) == r.exterior
-        assert tensor_dim(c) == r.tensor
+        assert fr.schur == r.schur
+        assert fr.exterior == r.exterior
+        assert fr.tensor == r.tensor
     _passed(7, "200 seeded random instances: exterior-schur = dim L^2, tensor-exterior = m(m+1)/2, "
                "and the closed forms match the oracle")
 
@@ -237,7 +233,7 @@ def test_criterion_09_rank2_admissible_set():
     noncapable = 0
     for name, L in rank2_stem_zoo(G5):
         _touch(L)
-        if is_capable_oracle(L):
+        if epicenter(L).dim == 0:
             continue
         noncapable += 1
         n = L.dim
@@ -246,7 +242,7 @@ def test_criterion_09_rank2_admissible_set():
         for M in (L, direct_sum(L, abelian(G5, 1))):
             c = classify(M)
             assert c.family is Family.GEN_HEISENBERG_RANK2, name
-            assert schur_dim(c) == schur_dim_oracle(M), name
+            assert functor_report(c).schur == schur_dim_oracle(M), name
     assert noncapable >= 3
     _passed(9, f"{noncapable} non-capable rank-2 stems, multiplier fixed by the pencil invariant")
 

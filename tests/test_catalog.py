@@ -98,6 +98,27 @@ def test_unbuildable_ids_rejected():
         make_catalog(CatalogId(Family.L4_3, abelian=-1), QQ)
 
 
+def test_fields_the_family_does_not_take_are_rejected():
+    # param belongs to the stems with a flag, rank to H; each is refused elsewhere
+    for cid in (
+        CatalogId(Family.L4_3, param=5),
+        CatalogId(Family.L1, param=0),
+        CatalogId(Family.ABELIAN, param=1, abelian=2),
+        CatalogId(Family.HEISENBERG, rank=1, param=1),
+    ):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            make_catalog(cid, QQ)
+    for cid in (
+        CatalogId(Family.ABELIAN, rank=3),
+        CatalogId(Family.L5_8, rank=1),
+        CatalogId(Family.L6_22, rank=2, param=1),
+    ):
+        with pytest.raises(ValueError, match="takes no rank"):
+            make_catalog(cid, QQ)
+    assert make_catalog(CatalogId(Family.L6_22, param=5), QQ).dim == 6
+    assert make_catalog(CatalogId(Family.L6_7_2, param=1), G2).dim == 6
+
+
 def test_total_dim_bookkeeping():
     cid = CatalogId(Family.L5_8, abelian=4)
     assert cid.base_dim() == 5

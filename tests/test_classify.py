@@ -6,8 +6,8 @@ from conftest import intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_clas
 
 from liemult import LieAlgebra, abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.classify import classify, has_rank2_member, heisenberg_rank, stem_decompose
-from liemult.formulas import is_capable, schur_dim
+from liemult.classify import classify, has_rank2_member, stem_decompose
+from liemult.formulas import functor_report
 from liemult.fields import gf, rationals
 from liemult.linalg import random_invertible
 
@@ -67,7 +67,7 @@ def test_stem_center_is_center_cap_derived():
         dict(rank2_stem_zoo(G3))["stem7"],
     ):
         L = base.change_basis(random_invertible(base.field, base.dim, rng))
-        core = intersect(L.center(), L.derived_subalgebra())
+        core = intersect(L.series().center, L.derived_subalgebra())
         d = stem_decompose(L)
         moved, stem = _stem_block(L, d)
         assert stem.validate() == []
@@ -79,40 +79,34 @@ def test_stem_center_is_center_cap_derived():
             new_coords = (Matrix(L.field, [row]) @ pinv).row(0)
             assert not any(new_coords[d.stem_dim:])  # lands inside the stem block
             transported.append(new_coords[: d.stem_dim])
-        assert stem.center() == Subspace.span(L.field, d.stem_dim, transported)
+        assert stem.series().center == Subspace.span(L.field, d.stem_dim, transported)
         # the abelian block really is central and bracket-free
-        assert moved.center().dim >= d.abelian_dim
+        assert moved.series().center.dim >= d.abelian_dim
 
 
 def test_heisenberg_rank_values():
-    assert heisenberg_rank(heisenberg(QQ, 1)) == 1
+    assert classify(heisenberg(QQ, 1)).rank == 1
     L = direct_sum(heisenberg(QQ, 3), abelian(QQ, 4))
-    assert L.center().dim == 5
-    assert heisenberg_rank(L) == 3
-
-
-def test_heisenberg_rank_preconditions():
-    with pytest.raises(ValueError):
-        heisenberg_rank(abelian(QQ, 3))
-    with pytest.raises(ValueError):
-        heisenberg_rank(make_catalog(CatalogId(Family.L5_8), QQ))
+    assert L.series().center.dim == 5
+    assert classify(L).rank == 3
 
 
 def test_classify_abelian():
     c = classify(abelian(QQ, 1))
-    assert c.family is Family.ABELIAN and not is_capable(c)
+    assert c.family is Family.ABELIAN and not functor_report(c).capable
     c = classify(abelian(QQ, 6))
-    assert c.family is Family.ABELIAN and is_capable(c) and c.abelian == 6 and c.stem_dim == 0
+    assert c.family is Family.ABELIAN and functor_report(c).capable
+    assert c.abelian == 6 and c.stem_dim == 0
 
 
 def test_classify_heisenberg_families():
     c = classify(direct_sum(heisenberg(QQ, 1), abelian(QQ, 4)))
     assert c.family is Family.HEISENBERG and c.rank == 1 and c.abelian == 4
-    assert is_capable(c)
+    assert functor_report(c).capable
 
     c = classify(heisenberg(QQ, 2))
     assert c.family is Family.HEISENBERG and c.rank == 2 and c.abelian == 0
-    assert not is_capable(c)
+    assert not functor_report(c).capable
 
 
 CATALOG_IDS = [
@@ -153,7 +147,7 @@ def test_classify_class3_big_stem():
     c = classify(stem6_class3(QQ))
     assert c.family is Family.STEM_CLASS3_DIM2
     assert c.stem_dim == 6 and c.abelian == 0
-    assert is_capable(c) is False
+    assert functor_report(c).capable is False
 
     c = classify(direct_sum(stem6_class3(QQ), abelian(QQ, 2)))
     assert c.family is Family.STEM_CLASS3_DIM2 and c.abelian == 2
@@ -163,7 +157,7 @@ def test_classify_gen_heisenberg_rank2():
     L = direct_sum(heisenberg(QQ, 1), heisenberg(QQ, 2))  # 8-dim rank-2 stem
     c = classify(L)
     assert c.family is Family.GEN_HEISENBERG_RANK2
-    assert c.stem_dim == 8 and not is_capable(c)
+    assert c.stem_dim == 8 and not functor_report(c).capable
 
 
 def test_classify_known_fingerprint_collision():
@@ -171,8 +165,9 @@ def test_classify_known_fingerprint_collision():
     # L1; a rank-2 member of its pencil of forms tells the two apart.
     c = classify(stem7_rank2(QQ))
     assert c.family is Family.GEN_HEISENBERG_RANK2
-    assert c.stem_dim == 7 and c.rank2_member and not is_capable(c)
-    assert schur_dim(c) == 10
+    assert c.stem_dim == 7 and c.rank2_member
+    fr = functor_report(c)
+    assert not fr.capable and fr.schur == 10
     c = classify(make_catalog(CatalogId(Family.L1), QQ))
     assert c.family is Family.L1 and c.rank2_member is False
 
@@ -208,7 +203,7 @@ def test_classify_out_of_scope():
     assert not c.in_scope
     assert c.family is None
     with pytest.raises(ValueError):
-        is_capable(c)
+        functor_report(c)
     assert c.derived_dim == 3
     assert "out of scope" in c.describe()
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2
+from conftest import (fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2,
+                      wrong_stem_multiplier)
 
 import liemult
-import liemult.formulas as formulas
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import entrypoint, main
 from liemult.document import dumps_algebra, loads_algebra
@@ -251,8 +251,7 @@ def test_report_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["report", str(path), "--oracle"]) == 0
     assert json.loads(capsys.readouterr().out)["functors"]["schur"] == 10
     # a wrong multiplier formula disagrees with the brute force
-    real = formulas.schur_dim
-    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + 1)
+    wrong_stem_multiplier(monkeypatch)
     code = main(["report", str(path), "--oracle"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3
@@ -343,8 +342,7 @@ def test_check_directory_flags_mismatch(tmp_path, capsys, monkeypatch):
     assert main(["check", str(tmp_path)]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
     # a multiplier formula that is wrong at dimension 7 only
-    real = formulas.schur_dim
-    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + (c.n == 7))
+    wrong_stem_multiplier(monkeypatch, lambda c: c.n == 7)
     assert main(["check", str(tmp_path)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [l.split()[0] for l in lines if "MISMATCH" in l] == ["stem7.json"]

@@ -41,7 +41,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = Matrix.zeros(QQ, 2, 4)
+    m = Matrix(QQ, [[0] * 4] * 2)
     reduced, pivots = rref(m)
     assert reduced == m and pivots == ()
 
@@ -55,7 +55,7 @@ def test_rref_dependent_rows():
 
 def test_kernel_identity_and_zero():
     assert kernel(Matrix.identity(QQ, 3)).dim == 0
-    assert kernel(Matrix.zeros(QQ, 2, 3)) == Subspace.full(QQ, 3)
+    assert kernel(Matrix(QQ, [[0] * 3] * 2)) == Subspace.full(QQ, 3)
 
 
 def test_kernel_difference_row():

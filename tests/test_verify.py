@@ -7,9 +7,9 @@ from conftest import (
     out_of_scope_algebra,
     random_rank2_stem,
     rank2_member_by_enumeration,
+    wrong_stem_multiplier,
 )
 
-import liemult.formulas as formulas
 from liemult import abelian, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import has_rank2_member
@@ -52,8 +52,7 @@ def test_cross_check_prime_field_uses_own_field():
 
 
 def test_cross_check_flags_mismatch(monkeypatch):
-    real = formulas.schur_dim
-    monkeypatch.setattr(formulas, "schur_dim", lambda c: real(c) + 1)
+    wrong_stem_multiplier(monkeypatch)
     r = cross_check(make_catalog(CatalogId(Family.L5_8), G5), "l58")
     assert not r.ok
     failing = {c.quantity for c in r.checks if not c.ok}
@@ -93,6 +92,8 @@ def test_builtin_suite_composition():
     assert len(set(names)) == len(names)
     for required in ("L5_8[Q]", "L6_22(1)[GF(3)]", "L6_7_2(0)[GF(2)]", "L1[Q]", "A(4)[Q]"):
         assert required in names
+    # every rational entry, A(5) and A(6) included, gets the capability check mod 5
+    assert all(prime == 5 for _, alg, prime in entries if not alg.field.is_prime_field)
 
 
 def test_run_suite_sorted_and_green():
