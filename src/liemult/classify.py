@@ -51,7 +51,7 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     centre = L.series().center.basis_rows()
     d, z = len(derived), len(centre)
     candidates = derived + centre + Matrix.identity(L.field, L.dim).data
-    picked = rref(Matrix(L.field, candidates, cols=L.dim).transpose())[1]
+    picked = rref(Matrix(L.field, candidates, cols=L.dim).transpose()).pivots
     abelian_rows = [candidates[c] for c in picked if d <= c < d + z]
     stem_rows = [candidates[c] for c in picked if c < d or c >= d + z]
     rows = stem_rows + abelian_rows

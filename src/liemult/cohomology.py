@@ -53,7 +53,6 @@ def triple_basis(n: int) -> list[tuple[int, int, int]]:
 class CochainComplexSlice:
     """d1: n -> C(n,2) and d2: C(n,2) -> C(n,3), rows indexed by target basis."""
 
-    n: int
     d1: Matrix
     d2: Matrix
     derived_dim: int
@@ -120,34 +119,33 @@ def cochain_complex(L: LieAlgebra) -> CochainComplexSlice:
     d1 = _d1_matrix(L, pairs)
     d2 = _d2_matrix(L, pairs, triple_basis(L.dim))
     derived_dim = L.derived_subalgebra().dim
-    rank_d1 = len(rref(d1)[1])
+    rank_d1 = rref(d1).dim
     if rank_d1 != derived_dim:
         raise ComplexIntegrityError(f"rank(d1) = {rank_d1} but dim L^2 = {derived_dim}")
-    return CochainComplexSlice(L.dim, d1, d2, derived_dim)
+    return CochainComplexSlice(d1, d2, derived_dim)
 
 
 def schur_dim_oracle(L: LieAlgebra) -> int:
     """dim of the multiplier: C(n,2) - rank(d2) - dim L^2."""
     cc = cochain_complex(L)
-    rank_d2 = len(rref(cc.d2)[1])
-    npairs = cc.d2.cols
-    return npairs - rank_d2 - cc.derived_dim
+    return cc.d2.cols - rref(cc.d2).dim - cc.derived_dim
 
 
-def _exterior_centre(L: LieAlgebra, reduced: Matrix, pivots: tuple[int, ...]) -> Subspace:
-    """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the RREF of d2.
+def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
+    """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the row space of d2.
 
-    L∧L has coordinates on the q free columns of `reduced`: a pair column
-    that is free is a coordinate itself, and a pivot column equals minus
-    the free part of its pivot row.  The result is the annihilator of the
-    n x q maps x ↦ x∧x_j, the same construction as Z(L) for the bracket.
+    L∧L has coordinates on the q free columns of `rowspace`, the columns
+    that are not pivots: a free pair column is a coordinate itself, and a
+    pivot column equals minus the free part of its basis row.  The result
+    is the annihilator of the n x q maps x ↦ x∧x_j, the same construction
+    as Z(L) for the bracket.
     """
     series = L.series()
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
     n, field = L.dim, L.field
-    pivot_row = dict(zip(pivots, reduced.data))
-    free = [c for c in range(reduced.cols) if c not in pivot_row]
+    pivot_row = dict(zip(rowspace.pivots, rowspace.basis.data))
+    free = [c for c in range(rowspace.ambient) if c not in pivot_row]
     zero, one = field.zero, field.one
     wedge = {  # x_i∧x_j for i < j, in the free coordinates
         pq: [-pivot_row[c][f] for f in free] if c in pivot_row else [one if f == c else zero for f in free]
@@ -164,7 +162,7 @@ def _exterior_centre(L: LieAlgebra, reduced: Matrix, pivots: tuple[int, ...]) ->
 
 def epicenter(L: LieAlgebra) -> Subspace:
     """Z*(L), as the exterior centre Z^∧(L), over any field."""
-    return _exterior_centre(L, *rref(cochain_complex(L).d2))
+    return _exterior_centre(L, rref(cochain_complex(L).d2))
 
 
 @dataclass(frozen=True)
@@ -189,16 +187,16 @@ def oracle_report(L: LieAlgebra, capability_prime: int | None = None) -> OracleR
     records the reason.
     """
     cc = cochain_complex(L)
-    reduced, pivots = rref(cc.d2)
+    rowspace = rref(cc.d2)
     d = cc.derived_dim
-    schur = cc.d2.cols - len(pivots) - d
+    schur = cc.d2.cols - rowspace.dim - d
     if d > 2:
         return OracleReport(schur, None, None, None, None, None)
     exterior = schur + d
     m = L.dim - d
     tensor = exterior + m * (m + 1) // 2
     if L.field.is_prime_field:
-        epi = _exterior_centre(L, reduced, pivots).dim
+        epi = _exterior_centre(L, rowspace).dim
         return OracleReport(schur, exterior, tensor, L.field.p, epi, epi == 0)
     if capability_prime is None:
         return OracleReport(schur, exterior, tensor, None, None, None)

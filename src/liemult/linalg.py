@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * a :class:`Subspace` stores its basis in reduced row echelon form, which
   makes the representation canonical (equal subspaces compare equal).
 
-Everything is exact.  ``rref`` returns the reduced matrix with its pivot
+Everything is exact.  ``rref`` returns the row space of its matrix as a
+:class:`Subspace`: the nonzero rows of the reduced form and their pivot
 columns, which every caller reads instead of rescanning the rows.  Both
 fields share one elimination loop: fraction-free Gauss-Jordan on Python
 ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
@@ -21,6 +22,7 @@ its pivot: ``Fraction`` over Q, :class:`~liemult.fields.Fp` over GF(p).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -151,13 +153,11 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns; the rank is their number.
+def rref(m: Matrix) -> "Subspace":
+    """The row space of m: its reduced row echelon basis and pivot columns.
 
-    Shape is preserved: the pivot rows come first, then the zero rows.
+    The basis holds the pivot rows only, so the rank is ``rref(m).dim``.
     """
-    if m.rows == 0 or m.cols == 0:
-        return m, ()
     p = m.field.p
     zero = m.field.zero
     if p is None:
@@ -175,23 +175,22 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         for row, c in zip(rows, pivots):
             inv = pow(row[c], -1, p)
             grid.append([Fp(x * inv, p) if x else zero for x in row])
-    grid.extend([zero] * m.cols for _ in range(m.rows - len(pivots)))
-    return Matrix(m.field, grid, cols=m.cols), tuple(pivots)
+    return Subspace(Matrix(m.field, grid, cols=m.cols), tuple(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m @ x^T = 0} as a Subspace of F^cols."""
-    reduced, pivots = rref(m)
+    rowspace = rref(m)
     n = m.cols
-    pivot_set = set(pivots)
+    pivot_set = set(rowspace.pivots)
     free = [j for j in range(n) if j not in pivot_set]
     zero, one = m.field.zero, m.field.one
     vecs = []
     for f in free:
         v = [zero] * n
         v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.data[r][f]
+        for row, c in zip(rowspace.basis.data, rowspace.pivots):
+            v[c] = -row[f]
         vecs.append(v)
     return Subspace.span(m.field, n, vecs)
 
@@ -214,34 +213,30 @@ def invert(m: Matrix) -> Matrix:
         return m
     eye = Matrix.identity(m.field, n)
     aug = Matrix(m.field, [list(r) + list(e) for r, e in zip(m.data, eye.data)], cols=2 * n)
-    reduced, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
+    rowspace = rref(aug)
+    if rowspace.pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix(m.field, [row[n:] for row in reduced.data], cols=n)
+    return Matrix(m.field, [row[n:] for row in rowspace.basis.data], cols=n)
 
 
+@dataclass(frozen=True, slots=True)
 class Subspace:
-    """A subspace of F^ambient with a canonical (RREF) basis."""
+    """A subspace of F^ambient with a canonical (RREF) basis and its pivot columns."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    basis: Matrix
+    pivots: tuple[int, ...]
 
-    def __init__(self, field: FieldSpec, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+    @property
+    def field(self) -> FieldSpec:
+        return self.basis.field
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+    @property
+    def ambient(self) -> int:
+        return self.basis.cols
 
     @classmethod
     def span(cls, field: FieldSpec, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
-        m = Matrix(field, vectors, cols=ambient)
-        if m.cols != ambient:
-            raise ValueError(f"vectors of length {m.cols} in ambient dimension {ambient}")
-        reduced, pivots = rref(m)
-        basis = Matrix(field, reduced.data[: len(pivots)], cols=ambient)
-        return cls(field, ambient, basis, pivots)
+        return rref(Matrix(field, vectors, cols=ambient))
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -279,17 +274,6 @@ class Subspace:
             raise ValueError(
                 f"ambient dimension mismatch: {self.ambient} vs {other.ambient}"
             )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"

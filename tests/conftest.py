@@ -113,7 +113,7 @@ def rank2_member_by_enumeration(L: LieAlgebra) -> bool:
     members = [(field.one, field.zero)] + [(field.of(t), field.one) for t in range(field.p)]
     for a, b in members:
         grid = [[a * u + b * v for u, v in zip(r1, r2)] for r1, r2 in zip(*forms)]
-        if len(rref(Matrix(field, grid, cols=n))[1]) == 2:
+        if rref(Matrix(field, grid, cols=n)).dim == 2:
             return True
     return False
 

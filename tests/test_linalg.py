@@ -36,21 +36,20 @@ def matrices(entries, field):
 
 def test_rref_identity():
     m = Matrix.identity(QQ, 3)
-    reduced, pivots = rref(m)
-    assert reduced == m and pivots == (0, 1, 2)
+    r = rref(m)
+    assert r.basis == m and r.pivots == (0, 1, 2) and r.dim == 3
 
 
 def test_rref_zero():
-    m = Matrix(QQ, [[0] * 4] * 2)
-    reduced, pivots = rref(m)
-    assert reduced == m and pivots == ()
+    r = rref(Matrix(QQ, [[0] * 4] * 2))
+    assert r.basis == Matrix(QQ, [], cols=4) and r.pivots == () and r.dim == 0
+    assert r.ambient == 4
 
 
 def test_rref_dependent_rows():
-    m = Matrix(QQ, [[1, 2], [2, 4]])
-    reduced, pivots = rref(m)
-    assert pivots == (0,)
-    assert reduced == Matrix(QQ, [[1, 2], [0, 0]])
+    r = rref(Matrix(QQ, [[1, 2], [2, 4]]))
+    assert r.pivots == (0,)
+    assert r.basis == Matrix(QQ, [[1, 2]])
 
 
 def test_kernel_identity_and_zero():
@@ -80,22 +79,21 @@ def test_invert_round_trip_and_singular():
 @settings(max_examples=60, deadline=None)
 @given(matrices(rational_entries, QQ))
 def test_rank_nullity_rational(m):
-    _, pivots = rref(m)
-    assert len(pivots) + kernel(m).dim == m.cols
+    assert rref(m).dim + kernel(m).dim == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(residue_entries, G5))
 def test_rank_nullity_prime(m):
-    _, pivots = rref(m)
-    assert len(pivots) + kernel(m).dim == m.cols
+    assert rref(m).dim + kernel(m).dim == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(rational_entries, QQ))
 def test_rref_idempotent(m):
-    reduced, pivots = rref(m)
-    assert rref(reduced) == (reduced, pivots)
+    r = rref(m)
+    assert rref(r.basis) == r
+    assert r == Subspace.span(m.field, m.cols, m.data)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,16 +203,17 @@ def test_prime_rref_matches_reference():
             cases.append(([[x.val for x in row] for row in d2.data], d2.cols))
         for rows, cols in cases:
             grid, pivots = rref_mod_p(rows, cols, p)
-            reduced, got = rref(Matrix(field, rows, cols=cols))
-            assert got == tuple(pivots)
-            assert reduced == Matrix(field, grid, cols=cols)
-            assert all(type(x) is Fp for row in reduced.data for x in row)
+            r = rref(Matrix(field, rows, cols=cols))
+            assert r.pivots == tuple(pivots)
+            assert r.basis == Matrix(field, grid[: len(pivots)], cols=cols)
+            assert not any(any(row) for row in grid[len(pivots):])
+            assert all(type(x) is Fp for row in r.basis.data for x in row)
 
 
 def test_pivot_columns_shape():
-    reduced, pivots = rref(Matrix(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]]))
-    assert pivots == (1, 2)
-    assert reduced == Matrix(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    r = rref(Matrix(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]]))
+    assert r.pivots == (1, 2)
+    assert r.basis == Matrix(QQ, [[0, 1, 0], [0, 0, 1]])
 
 
 # -- integer elimination over Q vs elimination on Fractions -------------------
@@ -264,7 +263,8 @@ def test_rref_rational_matches_fraction_reference():
         cases.append(cochain_complex(L).d2)
     for m in cases:
         grid, pivots = rref_by_fractions([list(row) for row in m.data], m.cols)
-        reduced, got = rref(m)
-        assert got == tuple(pivots)
-        assert reduced == Matrix(QQ, grid, cols=m.cols)
-        assert all(type(x) is Fraction for row in reduced.data for x in row)
+        r = rref(m)
+        assert r.pivots == tuple(pivots)
+        assert r.basis == Matrix(QQ, grid[: len(pivots)], cols=m.cols)
+        assert not any(any(row) for row in grid[len(pivots):])
+        assert all(type(x) is Fraction for row in r.basis.data for x in row)
