@@ -97,6 +97,8 @@ class LieAlgebra:
     def ad(self, v: Sequence) -> Matrix:
         """The n x n matrix of x ↦ [x, v]: row i is [x_i, v]."""
         n = self.dim
+        if len(v) != n:
+            raise ValueError(f"vector has {len(v)} coordinates, need {n}")
         v = [self.field.of(x) for x in v]
         rows = [[self.field.zero] * n for _ in range(n)]
         for (i, j), vec in self.table.items():
@@ -183,22 +185,12 @@ class LieAlgebra:
             raise ValueError("ideal ambient dimension must match the algebra")
         if not ideal.contains_subspace(self.bracket_span(self.full_space(), ideal)):
             raise ValueError("subspace is not an ideal")
-        pivot_set = set(ideal.pivots)
-        keep = [j for j in range(self.dim) if j not in pivot_set]
+        keep = [j for j in range(self.dim) if j not in ideal.pivots]
         q = len(keep)
-
-        def project(vec):
-            residual = ideal.reduce(vec)
-            return tuple(residual[j] for j in keep)
-
-        table = {}
-        for a_pos, a in enumerate(keep):
-            for b_pos in range(a_pos + 1, q):
-                w = project(self.structure_vector(a, keep[b_pos]))
-                if any(w):
-                    table[(a_pos, b_pos)] = w
-        proj_rows = [project(self.basis_vector(i)) for i in range(self.dim)]
-        proj = Matrix(self.field, proj_rows, cols=q)
+        proj = Matrix(self.field, ideal.quotient_map(), cols=q)
+        pairs = [(a, b) for b in range(q) for a in range(b)]
+        brackets = Matrix(self.field, [self.structure_vector(keep[a], keep[b]) for a, b in pairs], cols=self.dim)
+        table = dict(zip(pairs, (brackets @ proj).data))
         labels = tuple(self.labels[j] for j in keep)
         return LieAlgebra(self.field, q, table, labels), proj
 

@@ -134,25 +134,17 @@ def schur_dim_oracle(L: LieAlgebra) -> int:
 def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
     """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the row space of d2.
 
-    L∧L has coordinates on the q free columns of `rowspace`, the columns
-    that are not pivots: a free pair column is a coordinate itself, and a
-    pivot column equals minus the free part of its basis row.  The result
-    is the annihilator of the n x q maps x ↦ x∧x_j, the same construction
-    as Z(L) for the bracket.
+    L∧L = Λ²L / rowspace(d2), so x_i∧x_j has the coordinates of row (i, j)
+    of `rowspace.quotient_map()`.  The result is the annihilator of the
+    n maps x ↦ x∧x_j, the same construction as Z(L) for the bracket.
     """
     series = L.series()
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
     n, field = L.dim, L.field
-    pivot_row = dict(zip(rowspace.pivots, rowspace.basis.data))
-    free = [c for c in range(rowspace.ambient) if c not in pivot_row]
-    zero, one = field.zero, field.one
-    wedge = {  # x_i∧x_j for i < j, in the free coordinates
-        pq: [-pivot_row[c][f] for f in free] if c in pivot_row else [one if f == c else zero for f in free]
-        for c, pq in enumerate(pair_basis(n))
-    }
+    wedge = dict(zip(pair_basis(n), rowspace.quotient_map()))  # x_i∧x_j for i < j
     wedge.update({(j, i): [-v for v in w] for (i, j), w in wedge.items()})
-    zeros = [zero] * len(free)
+    zeros = [field.zero] * (rowspace.ambient - rowspace.dim)
     maps = [[wedge.get((i, j), zeros) for i in range(n)] for j in range(n)]
     centre = annihilator(field, n, maps)
     if not series.center.contains_subspace(centre):

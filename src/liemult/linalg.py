@@ -179,20 +179,8 @@ def rref(m: Matrix) -> "Subspace":
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Right null space {x : m @ x^T = 0} as a Subspace of F^cols."""
-    rowspace = rref(m)
-    n = m.cols
-    pivot_set = set(rowspace.pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    zero, one = m.field.zero, m.field.one
-    vecs = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for row, c in zip(rowspace.basis.data, rowspace.pivots):
-            v[c] = -row[f]
-        vecs.append(v)
-    return Subspace.span(m.field, n, vecs)
+    """Right null space {x : m @ x^T = 0}: the columns of the row space's quotient map."""
+    return Subspace.span(m.field, m.cols, zip(*rref(m).quotient_map()))
 
 
 def annihilator(field: FieldSpec, n: int, maps: Iterable[Sequence[Sequence]]) -> "Subspace":
@@ -259,6 +247,22 @@ class Subspace:
             if f:
                 v = [a - f * b for a, b in zip(v, row)]
         return v
+
+    def quotient_map(self) -> list[list]:
+        """The projection F^n -> F^n/U, as n rows in the free (non-pivot) coordinates.
+
+        Row i is e_i's image: a unit vector when column i is free, and minus
+        the free part of its basis row when i is a pivot, as that row is e_i
+        plus its free part.  The kernel is exactly U, and ``v @ map`` is
+        ``reduce(v)`` read on the free columns.
+        """
+        pivot_row = dict(zip(self.pivots, self.basis.data))
+        free = [c for c in range(self.ambient) if c not in pivot_row]
+        zero, one = self.field.zero, self.field.one
+        return [
+            [-pivot_row[i][f] for f in free] if i in pivot_row else [one if f == i else zero for f in free]
+            for i in range(self.ambient)
+        ]
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))

@@ -13,10 +13,10 @@ from dataclasses import asdict
 
 from .algebra import LieAlgebra
 from .classify import classify
-from .cohomology import OracleReport, oracle_report
+from .cohomology import OracleReport
 from .document import field_to_json
 from .formulas import functor_report
-from .verify import compare
+from .verify import cross_check
 
 DEFAULT_SWEEP_PRIME = 5
 
@@ -60,39 +60,34 @@ def build_report(
         report["ok"] = True
         return report
 
-    c = classify(L)
-    oracle = oracle_report(L, sweep_prime or DEFAULT_SWEEP_PRIME) if want_oracle else None
-    if not c.in_scope:
+    if want_oracle:
+        checked = cross_check(L, capability_prime=sweep_prime or DEFAULT_SWEEP_PRIME)
+        c, fr = checked.classification, checked.functors
+    else:
+        c = classify(L)
+        fr = functor_report(c) if c.in_scope else None
+    if fr is None:
         report["classification"] = {
             "applicable": False,
             "reason": f"dim L^2 = {c.derived_dim} > 2",
             "stem_dim": c.stem_dim,
         }
-        report["functors"] = {"applicable": False}
-        if oracle is not None:
-            report["oracle"] = _oracle_json(oracle)
-            report["checks"] = []
-        report["ok"] = True
-        return report
-
-    report["classification"] = {
-        "applicable": True,
-        "family": c.family.value,
-        "rank": c.rank,
-        "abelian_summand": c.abelian,
-        "stem_dim": c.stem_dim,
-        "description": c.describe(),
-    }
-    fr = functor_report(c)
-    report["functors"] = {"applicable": True, **asdict(fr)}  # field order is the key order
-    ok = True
-    if oracle is not None:
-        checks = compare(c, fr, oracle)
-        report["oracle"] = _oracle_json(oracle)
+    else:
+        report["classification"] = {
+            "applicable": True,
+            "family": c.family.value,
+            "rank": c.rank,
+            "abelian_summand": c.abelian,
+            "stem_dim": c.stem_dim,
+            "description": c.describe(),
+        }
+    # FunctorReport's field order is the key order
+    report["functors"] = {"applicable": True, **asdict(fr)} if fr else {"applicable": False}
+    if want_oracle:
+        report["oracle"] = _oracle_json(checked.oracle)
         report["checks"] = [
             {"quantity": ch.quantity, "formula": ch.formula, "oracle": ch.oracle, "pass": ch.ok}
-            for ch in checks
+            for ch in checked.checks
         ]
-        ok = all(ch.ok for ch in checks)
-    report["ok"] = ok
+    report["ok"] = checked.ok if want_oracle else True
     return report

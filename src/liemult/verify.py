@@ -2,8 +2,9 @@
 
 `cross_check` classifies an algebra, evaluates every closed form, runs the
 cohomological brute-force computation of the same quantities, and reports a
-per-quantity verdict; the brute-force side is `cohomology.oracle_report`.
-Every closed form is one integer (or boolean), so a check is `==`.
+per-quantity verdict that `report --oracle` renders; the brute-force side is
+`cohomology.oracle_report`.  Every closed form is one integer (or boolean),
+so a check is `==`.
 Capability is compared directly for prime-field algebras, and on the mod-p
 reduction of a rational table when a reduction prime is supplied and every
 denominator is a unit mod p (default 5 in the suite, the smallest odd prime
@@ -38,13 +39,13 @@ class Check:
 class CrossCheckReport:
     name: str
     classification: Classification
-    functors: FunctorReport
+    functors: FunctorReport | None  # None when dim L^2 > 2
     oracle: OracleReport
     checks: tuple[Check, ...]
     ok: bool
 
 
-def compare(c: Classification, fr: FunctorReport, oracle: OracleReport) -> tuple[Check, ...]:
+def _compare(c: Classification, fr: FunctorReport, oracle: OracleReport) -> tuple[Check, ...]:
     """One check per quantity; capability only when the oracle swept."""
     quantities = [
         ("schur", fr.schur, oracle.schur),
@@ -63,15 +64,15 @@ def cross_check(
 ) -> CrossCheckReport:
     """Compare every closed form against the brute-force value for one algebra.
 
-    A rational table whose reduction mod `capability_prime` fails gets no
-    capability check; the reason is in `oracle.sweep_error`.
+    A nilpotent L with dim L^2 > 2 has no closed form: it gets the oracle
+    values, no functors and no checks.  A rational table whose reduction mod
+    `capability_prime` fails gets no capability check; the reason is in
+    `oracle.sweep_error`.
     """
     c = classify(L)
-    if not c.in_scope:
-        raise ValueError("cross_check needs dim L^2 <= 2; use the oracle directly")
-    fr = functor_report(c)
+    fr = functor_report(c) if c.in_scope else None
     oracle = oracle_report(L, capability_prime)
-    checks = compare(c, fr, oracle)
+    checks = _compare(c, fr, oracle) if fr else ()
     return CrossCheckReport(name, c, fr, oracle, checks, all(ch.ok for ch in checks))
 
 

@@ -13,7 +13,8 @@ tests that check a mismatch is caught.  `bracket_by_table`,
 read the table pair by pair, as `LieAlgebra` did before it derived every
 bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
-does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2, and
+does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
+`random_class3` class-3 algebras with dim L^2 = 2, and
 `rank2_member_by_enumeration` is the reference for
 `classify.has_rank2_member` over GF(p): it ranks each of the p + 1 members
 of the pencil.
@@ -99,6 +100,27 @@ def random_rank2_stem(field: FieldSpec, s: int, rng) -> LieAlgebra:
         series = L.series()
         if series.derived_dim == 2 and series.center.dim == 2:
             return L
+
+
+def random_class3(field: FieldSpec, g: int, rng) -> LieAlgebra:
+    """A random class-3 algebra with dim L^2 = 2 on g >= 2 generators.
+
+    Basis x_1..x_g, y, z with [x1,x2] = y and [x1,y] = z, plus a random
+    2-form on the generators into z: [x_i, x_j] gains w_ij z, each w_ij
+    zero with probability 1/2.  Jacobi holds for every w, since only x1
+    brackets with y and z is central.  A degenerate form leaves some
+    generator combinations central, so the draw may carry an abelian summand.
+    """
+    nonzero = range(1, field.p) if field.is_prime_field else (-2, -1, 1, 2)
+    n = g + 2
+    table = {(0, g): unit(n, g + 1)}
+    for i in range(g):
+        for j in range(i + 1, g):
+            vec = list(unit(n, g)) if (i, j) == (0, 1) else [0] * n
+            if rng.random() < 0.5:
+                vec[g + 1] = rng.choice(nonzero)
+            table[(i, j)] = vec
+    return LieAlgebra(field, n, table)
 
 
 def rank2_member_by_enumeration(L: LieAlgebra) -> bool:

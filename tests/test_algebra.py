@@ -61,6 +61,17 @@ def test_bracket_bilinear():
     assert L.bracket(u, v) == (0, 0, 1, 3)
 
 
+def test_ad_and_bracket_reject_wrong_length():
+    for L in (heisenberg(QQ, 1), l4_3()):
+        n = L.dim
+        u = unit(n, 0)
+        for v in ([1] * (n - 1), [1] * n + [7]):
+            with pytest.raises(ValueError, match="coordinates"):
+                L.ad(v)
+            with pytest.raises(ValueError, match="coordinates"):
+                L.bracket(u, v)
+
+
 def test_validate_abelian_and_heisenberg():
     assert abelian(QQ, 4).validate() == []
     assert heisenberg(QQ, 1).validate() == []

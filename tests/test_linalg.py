@@ -89,6 +89,20 @@ def test_rank_nullity_prime(m):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(rational_entries, QQ), matrices(residue_entries, G5)), st.data())
+def test_quotient_map_projects_modulo_row_space(m, data):
+    u = rref(m)
+    q = u.ambient - u.dim
+    proj = Matrix(m.field, u.quotient_map(), cols=q)
+    assert proj.shape == (u.ambient, q)
+    assert (u.basis @ proj).is_zero()
+    entries = residue_entries if m.field.is_prime_field else rational_entries
+    v = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    free = [c for c in range(u.ambient) if c not in u.pivots]
+    assert [u.reduce(v)[c] for c in free] == list((Matrix(m.field, [v]) @ proj).row(0))
+
+
+@settings(max_examples=60, deadline=None)
 @given(matrices(rational_entries, QQ))
 def test_rref_idempotent(m):
     r = rref(m)

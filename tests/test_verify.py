@@ -4,7 +4,9 @@ import pytest
 
 from conftest import (
     fifth_scaled_l58,
+    non_nilpotent,
     out_of_scope_algebra,
+    random_class3,
     random_rank2_stem,
     rank2_member_by_enumeration,
     wrong_stem_multiplier,
@@ -60,29 +62,58 @@ def test_cross_check_flags_mismatch(monkeypatch):
 
 
 def test_cross_check_passes_on_random_pencils():
-    # class-2 stems with dim L^2 = 2 outside the catalog: stem dimension 7-10,
-    # an abelian summand A(0-2), a random basis; over Q the capability check
-    # needs a reduction prime, so there the four dimensions are compared
-    rng = random.Random(8)
+    # class-2 stems with dim L^2 = 2 outside the catalog: per field, ten of
+    # stem dimension 7-10 and thirty of dimension 5-6, an abelian summand
+    # A(0-2), a random basis; over Q the capability check needs a reduction
+    # prime, so there the four dimensions are compared
+    rng = random.Random("random-pencils")
     seen = set()
+    families = set()
     for field in (gf(2), gf(3), G5, QQ):
-        for case in range(10):
-            s = rng.randint(7, 10)
+        for case in range(40):
+            s = rng.randint(7, 10) if case < 10 else rng.randint(5, 6)
             L = direct_sum(random_rank2_stem(field, s, rng), abelian(field, rng.randint(0, 2)))
             L = L.change_basis(random_invertible(field, L.dim, rng))
+            r = cross_check(L, f"pencil{s}")
+            assert r.ok, (field, case, [c for c in r.checks if not c.ok])
+            families.add(r.classification.family)
+            if s < 7:  # classify reads the pencil from stem dimension 7 on
+                assert r.classification.rank2_member is None
+                continue
             rank2 = has_rank2_member(L)
             if field.is_prime_field:
                 assert rank2 == rank2_member_by_enumeration(L), (field, case)
             seen.add((s == 7, rank2))
-            r = cross_check(L, f"pencil{s}")
-            assert r.ok, (field, case, [c for c in r.checks if not c.ok])
             assert r.classification.rank2_member == rank2
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert {Family.L5_8, Family.L6_22, Family.L6_7_2} <= families
 
 
-def test_cross_check_rejects_out_of_scope():
-    with pytest.raises(ValueError):
-        cross_check(out_of_scope_algebra(QQ))
+def test_cross_check_passes_on_random_class3():
+    # class 3 with dim L^2 = 2 outside the catalog: 2-5 generators, an
+    # abelian summand A(0-2), a random basis
+    rng = random.Random("random-class3")
+    stems = set()
+    for field in (gf(2), gf(3), G5, QQ):
+        for case in range(30):
+            L = direct_sum(random_class3(field, rng.randint(2, 5), rng), abelian(field, rng.randint(0, 2)))
+            L = L.change_basis(random_invertible(field, L.dim, rng))
+            r = cross_check(L, f"class3-{case}")
+            assert r.ok, (field, case, [c for c in r.checks if not c.ok])
+            assert r.classification.nil_class == 3
+            stems.add((r.classification.family, r.classification.stem_dim))
+    assert {(Family.L4_3, 4), (Family.L5_5, 5)} <= stems
+    assert {(Family.STEM_CLASS3_DIM2, 6), (Family.STEM_CLASS3_DIM2, 7)} <= stems
+
+
+def test_cross_check_out_of_scope_has_no_checks():
+    # dim L^2 = 3: the oracle runs, no closed form applies, and nothing can disagree
+    r = cross_check(out_of_scope_algebra(QQ), "f", capability_prime=5)
+    assert r.ok and r.functors is None and r.checks == ()
+    assert not r.classification.in_scope
+    assert (r.oracle.schur, r.oracle.exterior, r.oracle.capable) == (3, None, None)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        cross_check(non_nilpotent(QQ))
 
 
 def test_builtin_suite_composition():
