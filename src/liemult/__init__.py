@@ -12,7 +12,6 @@ from .algebra import LieAlgebra, SeriesReport, abelian, direct_sum, reduce_mod_p
 from .catalog import CatalogId, Family, heisenberg, make_catalog
 from .classify import Classification, StemDecomposition, classify, has_rank2_member, stem_decompose
 from .cohomology import (
-    CochainComplexSlice,
     ComplexIntegrityError,
     OracleReport,
     cochain_complex,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "CatalogId",
-    "CochainComplexSlice",
     "ComplexIntegrityError",
     "CrossCheckReport",
     "DocumentError",

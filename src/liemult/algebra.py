@@ -7,15 +7,16 @@ coefficient vectors of [x_i, x_j] for i < j.  Antisymmetry is structural:
 identity is *checked*, not assumed; :meth:`LieAlgebra.validate` returns
 the list of violating triples, empty exactly when the table is a Lie
 algebra.  The residuals are the nonzero rows of d2·d1 in the cochain
-complex (:func:`liemult.cohomology.jacobi_residuals`), the same identity
-that :func:`~liemult.cohomology.cochain_complex` requires.
+complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
+that :func:`~liemult.cohomology.cochain_complex` requires before it
+builds d2.
 
 Every bracket comes from :meth:`LieAlgebra.ad`, the n x n matrix of
 x ↦ [x, v] built in one pass over the table: ``bracket(u, v)`` is
 ``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
 ``P @ ad(p_j)``, and ``series`` builds the n maps ``ad(x_j)`` once: L^{k+1}
 spans ``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`.  L^2
-is the span of the table's own vectors.
+is the span of the table's own vectors, the rows of d1 up to sign.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -141,8 +142,7 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         """L^2, read from the series (L itself when L is perfect or zero)."""
-        lower = self.series().lower_central
-        return lower[min(1, len(lower) - 1)]
+        return self.series().derived
 
     def series(self) -> "SeriesReport":
         """Lower central series, derived series, center, nilpotency class.
@@ -222,9 +222,13 @@ class SeriesReport:
         return self.nilpotency_class is not None
 
     @property
+    def derived(self) -> Subspace:
+        """L^2; a perfect L keeps only L in lower_central, and L^2 = L."""
+        return self.lower_central[min(1, len(self.lower_central) - 1)]
+
+    @property
     def derived_dim(self) -> int:
-        """dim L^2; a perfect L keeps only L in lower_central, and L^2 = L."""
-        return self.lower_central[min(1, len(self.lower_central) - 1)].dim
+        return self.derived.dim
 
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.lower_central)

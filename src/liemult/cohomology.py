@@ -17,8 +17,9 @@ product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
 `jacobi_residuals` computes its nonzero rows, and it is the only Jacobi
 check in the package: `LieAlgebra.validate` keeps its result on the
 algebra, and `cochain_complex` refuses an algebra whose list is not
-empty.  Every complex built here also has rank(d1) = dim L^2 verified;
-the multiplier dimension is then
+empty.  d1 is never built: its rows are the negated table vectors, so
+its rank is dim L^2, the span that `LieAlgebra.series` already keeps.
+`cochain_complex` returns d2, and the multiplier dimension is
 
     C(n,2) - rank(d2) - dim L^2.
 
@@ -49,22 +50,8 @@ def triple_basis(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
 
 
-@dataclass(frozen=True)
-class CochainComplexSlice:
-    """d1: n -> C(n,2) and d2: C(n,2) -> C(n,3), rows indexed by target basis."""
-
-    d1: Matrix
-    d2: Matrix
-    derived_dim: int
-
-
 class ComplexIntegrityError(ValueError):
     pass
-
-
-def _d1_matrix(L: LieAlgebra, pairs) -> Matrix:
-    rows = [[-x for x in L.structure_vector(i, j)] for (i, j) in pairs]
-    return Matrix(L.field, rows, cols=L.dim)
 
 
 def _d2_rows(L: LieAlgebra, triples):
@@ -80,12 +67,6 @@ def _d2_rows(L: LieAlgebra, triples):
                     key = (l, other) if l < other else (other, l)
                     row[key] = row[key] + c if key in row else c
         yield {key: c for key, c in row.items() if c}
-
-
-def _d2_matrix(L: LieAlgebra, pairs, triples) -> Matrix:
-    zero = L.field.zero
-    rows = ([row.get(pq, zero) for pq in pairs] for row in _d2_rows(L, triples))
-    return Matrix(L.field, rows, cols=len(pairs))
 
 
 def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
@@ -109,26 +90,22 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
     return violations
 
 
-def cochain_complex(L: LieAlgebra) -> CochainComplexSlice:
-    """Assemble the degree-(1,2,3) slice, integrity-checked."""
+def cochain_complex(L: LieAlgebra) -> Matrix:
+    """d2: C(n,2) -> C(n,3), rows indexed by triple; refuses a table that breaks Jacobi."""
     if L.validate():
         raise ComplexIntegrityError(
             "d2 . d1 != 0; the bracket table violates the Jacobi identity"
         )
     pairs = pair_basis(L.dim)
-    d1 = _d1_matrix(L, pairs)
-    d2 = _d2_matrix(L, pairs, triple_basis(L.dim))
-    derived_dim = L.derived_subalgebra().dim
-    rank_d1 = rref(d1).dim
-    if rank_d1 != derived_dim:
-        raise ComplexIntegrityError(f"rank(d1) = {rank_d1} but dim L^2 = {derived_dim}")
-    return CochainComplexSlice(d1, d2, derived_dim)
+    zero = L.field.zero
+    rows = ([row.get(pq, zero) for pq in pairs] for row in _d2_rows(L, triple_basis(L.dim)))
+    return Matrix(L.field, rows, cols=len(pairs))
 
 
 def schur_dim_oracle(L: LieAlgebra) -> int:
     """dim of the multiplier: C(n,2) - rank(d2) - dim L^2."""
-    cc = cochain_complex(L)
-    return cc.d2.cols - rref(cc.d2).dim - cc.derived_dim
+    d2 = cochain_complex(L)
+    return d2.cols - rref(d2).dim - L.derived_subalgebra().dim
 
 
 def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
@@ -154,7 +131,7 @@ def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
 
 def epicenter(L: LieAlgebra) -> Subspace:
     """Z*(L), as the exterior centre Z^∧(L), over any field."""
-    return _exterior_centre(L, rref(cochain_complex(L).d2))
+    return _exterior_centre(L, rref(cochain_complex(L)))
 
 
 @dataclass(frozen=True)
@@ -178,10 +155,10 @@ def oracle_report(L: LieAlgebra, capability_prime: int | None = None) -> OracleR
     one is given.  A reduction that fails leaves capability undecided and
     records the reason.
     """
-    cc = cochain_complex(L)
-    rowspace = rref(cc.d2)
-    d = cc.derived_dim
-    schur = cc.d2.cols - rowspace.dim - d
+    d2 = cochain_complex(L)
+    rowspace = rref(d2)
+    d = L.derived_subalgebra().dim
+    schur = d2.cols - rowspace.dim - d
     if d > 2:
         return OracleReport(schur, None, None, None, None, None)
     exterior = schur + d

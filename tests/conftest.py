@@ -4,7 +4,9 @@ The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
 `sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
 `jacobi_residuals_by_brackets` the bracket-based reference for
-`LieAlgebra.validate`, `rref_by_fractions` the elimination on
+`LieAlgebra.validate`, `d2_by_brackets` the reference for the d2 that
+`cohomology.cochain_complex` returns, `d1_by_table` the first
+differential, which the package never builds, `rref_by_fractions` the elimination on
 `Fraction` entries that `linalg.rref` replaced over Q, and `rref_mod_p`
 the elimination on residues that `linalg.rref` is checked against over
 GF(p).  `wrong_stem_multiplier` plants an error in the closed forms for the
@@ -22,7 +24,7 @@ of the pencil.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import liemult.formulas as formulas
 from liemult import LieAlgebra, direct_sum, heisenberg
@@ -330,6 +332,35 @@ def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
                 if any(residual):
                     violations.append(JacobiViolation(i, j, k, residual))
     return violations
+
+
+def d1_by_table(L: LieAlgebra) -> Matrix:
+    """d1: C^1 -> C^2, (d1 f)(x, y) = -f([x, y]); row (i, j), i < j, is -[x_i, x_j]."""
+    rows = [[-x for x in L.structure_vector(i, j)] for i, j in combinations(range(L.dim), 2)]
+    return Matrix(L.field, rows, cols=L.dim)
+
+
+def d2_by_brackets(L: LieAlgebra) -> Matrix:
+    """d2: C^2 -> C^3, one column per unit 2-cochain, by evaluating brackets.
+
+    Column (a, b) is w = x_a^* ∧ x_b^*, w(u, v) = u_a v_b - u_b v_a, and
+    row (i, j, k) is (d2 w)(x_i, x_j, x_k) = -w([x_i,x_j], x_k)
+    + w([x_i,x_k], x_j) - w([x_j,x_k], x_i).
+    """
+    n = L.dim
+    e = [L.basis_vector(i) for i in range(n)]
+    bracket = {(i, j): L.structure_vector(i, j) for i, j in combinations(range(n), 2)}
+    columns = []
+    for a, b in combinations(range(n), 2):
+
+        def w(u, v):
+            return u[a] * v[b] - u[b] * v[a]
+
+        columns.append([
+            -w(bracket[i, j], e[k]) + w(bracket[i, k], e[j]) - w(bracket[j, k], e[i])
+            for i, j, k in combinations(range(n), 3)
+        ])
+    return Matrix(L.field, [list(row) for row in zip(*columns)], cols=len(columns))
 
 
 def rref_by_fractions(grid: list[list], cols: int) -> tuple[list[list], list[int]]:

@@ -7,7 +7,7 @@ Every assertion is exact integer equality; no tolerances anywhere.
 import random
 import time
 
-from conftest import intersect, rank2_stem_zoo, stem6_class3
+from conftest import d1_by_table, intersect, rank2_stem_zoo, stem6_class3
 
 from liemult import abelian, direct_sum, heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -248,8 +248,8 @@ def test_criterion_09_rank2_admissible_set():
 
 
 def test_criterion_10_harness_integrity():
-    # the complex builder enforces both identities on every construction; it
-    # must genuinely reject a broken table ...
+    # the complex builder refuses a table that breaks Jacobi (d2 . d1 != 0);
+    # it must genuinely reject a broken table ...
     from conftest import jacobi_breaker
 
     try:
@@ -274,8 +274,9 @@ def test_criterion_10_harness_integrity():
                 population.append(L)
     else:
         assert len(population) >= 250
+    # d1 is built on the test side only: the package reads dim L^2 off the series
     for L in population:
-        cc = cochain_complex(L)
-        assert (cc.d2 @ cc.d1).is_zero()
-        assert rref(cc.d1).dim == L.derived_subalgebra().dim
+        d1 = d1_by_table(L)
+        assert (cochain_complex(L) @ d1).is_zero()
+        assert rref(d1).dim == L.derived_subalgebra().dim
     _passed(10, f"d2.d1 = 0 and rank(d1) = dim L^2 re-verified on {len(population)} touched algebras")

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (fifth_scaled_l58, jacobi_breaker, out_of_scope_algebra, stem7_rank2,
-                      wrong_stem_multiplier)
+from conftest import (fifth_scaled_l58, jacobi_breaker, non_nilpotent, out_of_scope_algebra,
+                      stem7_rank2, wrong_stem_multiplier)
 
 import liemult
 from liemult.catalog import CatalogId, Family, make_catalog
@@ -302,11 +302,18 @@ def test_check_directory(tmp_path, capsys):
     write_doc(tmp_path, "l43.json", make_catalog(CatalogId(Family.L4_3), QQ))
     write_doc(tmp_path, "h2.json", make_catalog(CatalogId(Family.HEISENBERG, rank=2), gf(5)))
     write_doc(tmp_path, "oos.json", out_of_scope_algebra(QQ))
+    write_doc(tmp_path, "solvable.json", non_nilpotent(QQ))
     assert main(["check", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "l43.json" in out and "h2.json" in out
-    assert "skipped" in out  # the out-of-scope one
-    assert "MISMATCH" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in lines[:4]] == ["h2.json", "l43.json", "oos.json", "solvable.json"]
+    # dim L^2 = 3: the oracle runs and its multiplier is printed, as `report --oracle` does
+    assert lines[2] == f"{'oos.json':<24} {'out of scope (dim L^2 = 3 > 2)':<28} ok        oracle multiplier 3"
+    assert lines[3] == f"{'solvable.json':<24} {'':<28} skipped   not nilpotent"
+    # the per-rule table holds the in-scope rules only
+    rules = lines[lines.index("per-rule pass counts:") + 1:-1]
+    assert [l.split()[0] for l in rules] == ["capable-L4_3", "heisenberg-rank-ge2"]
+    assert lines[-1] == "total: 3/3 algebras ok, 10 quantity checks"
+    assert not any("MISMATCH" in l for l in lines)
 
 
 def test_check_directory_sweep_error(tmp_path, capsys):
