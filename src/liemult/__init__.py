@@ -9,7 +9,7 @@ exterior-square pairing read off the same reduced differential).
 """
 
 from .algebra import LieAlgebra, SeriesReport, abelian, direct_sum, reduce_mod_p
-from .catalog import CatalogId, Family, heisenberg, make_catalog
+from .catalog import CatalogId, Family, make_catalog
 from .classify import Classification, StemDecomposition, classify, has_rank2_member, stem_decompose
 from .cohomology import (
     ComplexIntegrityError,
@@ -54,7 +54,6 @@ __all__ = [
     "functor_report",
     "gf",
     "has_rank2_member",
-    "heisenberg",
     "invert",
     "kernel",
     "loads_algebra",

@@ -11,12 +11,14 @@ complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
 that :func:`~liemult.cohomology.cochain_complex` requires before it
 builds d2.
 
-Every bracket comes from :meth:`LieAlgebra.ad`, the n x n matrix of
-x ↦ [x, v] built in one pass over the table: ``bracket(u, v)`` is
-``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
+Brackets of coordinate vectors come from :meth:`LieAlgebra.ad`, the n x n
+matrix of x ↦ [x, v] built in one pass over the table: ``bracket(u, v)``
+is ``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
 ``P @ ad(p_j)``, and ``series`` builds the n maps ``ad(x_j)`` once: L^{k+1}
 spans ``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`.  L^2
 is the span of the table's own vectors, the rows of d1 up to sign.
+Brackets of basis vectors are read off the table directly, by
+:meth:`LieAlgebra.structure_vector` and by the d2 rows in :mod:`liemult.cohomology`.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -110,11 +112,7 @@ class LieAlgebra:
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the table to coordinate vectors: u @ ad(v)."""
-        return (Matrix(self.field, [u], cols=self.dim) @ self.ad(v)).row(0)
-
-    def basis_vector(self, i: int) -> tuple:
-        zero, one = self.field.zero, self.field.one
-        return tuple(one if k == i else zero for k in range(self.dim))
+        return (Matrix(self.field, [u], cols=self.dim) @ self.ad(v)).data[0]
 
     @property
     def is_abelian(self) -> bool:
@@ -130,14 +128,11 @@ class LieAlgebra:
 
     # -- subspace machinery -------------------------------------------------
 
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
-
     def bracket_span(self, u: Subspace, v: Subspace) -> Subspace:
         """Span of [a, b] over basis vectors a of u, b of v."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("subspace ambient dimension must match the algebra")
-        vecs = [r for b in v.basis_rows() for r in (u.basis @ self.ad(b)).data]
+        vecs = [r for b in v.basis.data for r in (u.basis @ self.ad(b)).data]
         return Subspace.span(self.field, self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:
@@ -151,8 +146,8 @@ class LieAlgebra:
         """
         if self._series is not None:
             return self._series
-        maps = [self.ad(self.basis_vector(j)) for j in range(self.dim)]  # ad(x_j), built once
-        lower = [self.full_space()]
+        maps = [self.ad(e) for e in Matrix.identity(self.field, self.dim).data]  # ad(x_j), built once
+        lower = [Subspace.full(self.field, self.dim)]
         nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
@@ -183,7 +178,7 @@ class LieAlgebra:
         """
         if ideal.ambient != self.dim:
             raise ValueError("ideal ambient dimension must match the algebra")
-        if not ideal.contains_subspace(self.bracket_span(self.full_space(), ideal)):
+        if not ideal.contains_subspace(self.bracket_span(Subspace.full(self.field, self.dim), ideal)):
             raise ValueError("subspace is not an ideal")
         keep = [j for j in range(self.dim) if j not in ideal.pivots]
         q = len(keep)
@@ -205,7 +200,7 @@ class LieAlgebra:
         pairs = [(i, j) for j in range(n) for i in range(j)]
         old = []  # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
         for j in range(n):
-            old.extend((Matrix(self.field, p.data[:j], cols=n) @ self.ad(p.row(j))).data)
+            old.extend((Matrix(self.field, p.data[:j], cols=n) @ self.ad(p.data[j])).data)
         new = Matrix(self.field, old, cols=n) @ pinv
         return LieAlgebra(self.field, n, dict(zip(pairs, new.data)))
 

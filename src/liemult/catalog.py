@@ -94,9 +94,6 @@ class CatalogId:
             raise ValueError(f"family {self.family.value} has no fixed presentation")
         return STEMS[self.family].dim
 
-    def total_dim(self) -> int:
-        return self.base_dim() + self.abelian
-
 
 def _core_table(id: CatalogId, field: FieldSpec, n: int) -> dict:
     fam, param = id.family, None
@@ -131,7 +128,3 @@ def make_catalog(id: CatalogId, field: FieldSpec) -> LieAlgebra:
     if id.abelian == 0:
         return core
     return direct_sum(core, abelian(field, id.abelian))
-
-
-def heisenberg(field: FieldSpec, m: int, extra_abelian: int = 0) -> LieAlgebra:
-    return make_catalog(CatalogId(Family.HEISENBERG, rank=m, abelian=extra_abelian), field)

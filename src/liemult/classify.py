@@ -47,8 +47,8 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     """
     if L.is_abelian:
         raise ValueError("abelian algebras have no stem decomposition")
-    derived = L.derived_subalgebra().basis_rows()
-    centre = L.series().center.basis_rows()
+    derived = L.derived_subalgebra().basis.data
+    centre = L.series().center.basis.data
     d, z = len(derived), len(centre)
     candidates = derived + centre + Matrix.identity(L.field, L.dim).data
     picked = rref(Matrix(L.field, candidates, cols=L.dim).transpose()).pivots
@@ -88,7 +88,7 @@ def has_rank2_member(L: LieAlgebra) -> bool:
     null = kernel(Matrix(L.field, rows, cols=3))
     if null.dim != 1:
         return null.dim > 1
-    x, y, z = null.basis_rows()[0]
+    x, y, z = null.basis.data[0]
     return y * y == x * z
 
 

@@ -58,9 +58,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def transpose(self) -> "Matrix":
         if self.rows == 0:
             return Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
@@ -234,27 +231,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_rows(self) -> tuple[tuple, ...]:
-        return self.basis.data
-
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after subtracting its projection onto the basis."""
-        v = [self.field.of(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        for row, pc in zip(self.basis.data, self.pivots):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def quotient_map(self) -> list[list]:
         """The projection F^n -> F^n/U, as n rows in the free (non-pivot) coordinates.
 
         Row i is e_i's image: a unit vector when column i is free, and minus
         the free part of its basis row when i is a pivot, as that row is e_i
-        plus its free part.  The kernel is exactly U, and ``v @ map`` is
-        ``reduce(v)`` read on the free columns.
+        plus its free part.  The kernel is exactly U: ``v @ map`` is v minus
+        the basis rows scaled by v's pivot entries, read on the free columns.
         """
         pivot_row = dict(zip(self.pivots, self.basis.data))
         free = [c for c in range(self.ambient) if c not in pivot_row]
@@ -264,20 +247,12 @@ class Subspace:
             for i in range(self.ambient)
         ]
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(r) for r in other.basis.data)
+        """Whether other lies in self: other's basis times the quotient map is zero.
 
-    def _check_compatible(self, other: "Subspace"):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.ambient != other.ambient:
-            raise ValueError(
-                f"ambient dimension mismatch: {self.ambient} vs {other.ambient}"
-            )
+        The product raises ValueError on a field or ambient mismatch.
+        """
+        return (other.basis @ Matrix(self.field, self.quotient_map(), cols=self.ambient - self.dim)).is_zero()
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"

@@ -9,11 +9,13 @@ tests; they exercise structure outside the named catalog families.
 differential, which the package never builds, `rref_by_fractions` the elimination on
 `Fraction` entries that `linalg.rref` replaced over Q, and `rref_mod_p`
 the elimination on residues that `linalg.rref` is checked against over
-GF(p).  `wrong_stem_multiplier` plants an error in the closed forms for the
+GF(p), and `reduce` the row-by-row residual modulo a subspace, the
+reference for `Subspace.quotient_map` and `Subspace.contains_subspace`.
+`heisenberg` builds H(m) + A(k) through `make_catalog`.  `wrong_stem_multiplier` plants an error in the closed forms for the
 tests that check a mismatch is caught.  `bracket_by_table`,
 `center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
-read the table pair by pair, as `LieAlgebra` did before it derived every
-bracket from `ad`; no reference calls the code it checks.  `subspace_sum` and
+read the table pair by pair, as `LieAlgebra` did before it derived the
+brackets of coordinate vectors from `ad`; no reference calls the code it checks.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
 `random_class3` class-3 algebras with dim L^2 = 2, and
@@ -27,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import liemult.formulas as formulas
-from liemult import LieAlgebra, direct_sum, heisenberg
+from liemult import CatalogId, Family, LieAlgebra, direct_sum, make_catalog
 from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
@@ -36,6 +38,11 @@ from liemult.linalg import Matrix, Subspace, invert, kernel, rref
 
 def unit(n: int, k: int):
     return tuple(1 if i == k else 0 for i in range(n))
+
+
+def heisenberg(field: FieldSpec, m: int, extra_abelian: int = 0) -> LieAlgebra:
+    """H(m) + A(extra_abelian), from the catalog."""
+    return make_catalog(CatalogId(Family.HEISENBERG, rank=m, abelian=extra_abelian), field)
 
 
 def stem6_class3(field: FieldSpec) -> LieAlgebra:
@@ -220,10 +227,10 @@ def sweep_epicenter(L: LieAlgebra) -> Subspace:
     p = L.field.p
 
     members = []
-    for z in _central_lines(L.field, center.basis_rows(), p):
+    for z in _central_lines(L.field, center.basis.data, p):
         line = Subspace.span(L.field, L.dim, [z])
         quotient, _ = L.quotient(line)
-        drop = 1 if derived.contains(z) else 0
+        drop = 0 if any(reduce(derived, z)) else 1
         if schur_dim_oracle(quotient) - drop == m_full:
             members.append(z)
 
@@ -270,7 +277,7 @@ def center_by_equations(L: LieAlgebra) -> Subspace:
             r = row_for((a, k))
             r[b] = r[b] - coef
     if not rows:
-        return L.full_space()
+        return Subspace.full(L.field, n)
     eqs = Matrix(L.field, [rows[key] for key in sorted(rows)], cols=n)
     return kernel(eqs)
 
@@ -281,9 +288,9 @@ def change_basis_by_pairs(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     table = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            old = bracket_by_table(L, p.row(i), p.row(j))
+            old = bracket_by_table(L, p.data[i], p.data[j])
             new = Matrix(L.field, [old], cols=L.dim) @ pinv
-            vec = new.row(0)
+            vec = new.data[0]
             if any(vec):
                 table[(i, j)] = vec
     return LieAlgebra(L.field, L.dim, table)
@@ -293,10 +300,10 @@ def series_by_brackets(L: LieAlgebra) -> tuple[tuple[Subspace, ...], tuple[Subsp
     """Lower central and derived series, each term spanned by pairwise brackets."""
 
     def bracket_span(u, v):
-        vecs = [bracket_by_table(L, a, b) for a in u.basis_rows() for b in v.basis_rows()]
+        vecs = [bracket_by_table(L, a, b) for a in u.basis.data for b in v.basis.data]
         return Subspace.span(L.field, L.dim, vecs)
 
-    full = L.full_space()
+    full = Subspace.full(L.field, L.dim)
     lower = [full]
     while True:
         nxt = bracket_span(lower[-1], full)
@@ -318,13 +325,14 @@ def jacobi_residuals_by_brackets(L: LieAlgebra) -> list[JacobiViolation]:
     """[[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] over all triples, by brackets."""
     violations = []
     n = L.dim
+    e = Matrix.identity(L.field, n).data
     for i in range(n):
-        ei = L.basis_vector(i)
+        ei = e[i]
         for j in range(i + 1, n):
-            ej = L.basis_vector(j)
+            ej = e[j]
             bij = L.structure_vector(i, j)
             for k in range(j + 1, n):
-                ek = L.basis_vector(k)
+                ek = e[k]
                 term = bracket_by_table(L, bij, ek)
                 term2 = bracket_by_table(L, L.structure_vector(j, k), ei)
                 term3 = bracket_by_table(L, L.structure_vector(k, i), ej)
@@ -348,7 +356,7 @@ def d2_by_brackets(L: LieAlgebra) -> Matrix:
     + w([x_i,x_k], x_j) - w([x_j,x_k], x_i).
     """
     n = L.dim
-    e = [L.basis_vector(i) for i in range(n)]
+    e = Matrix.identity(L.field, n).data
     bracket = {(i, j): L.structure_vector(i, j) for i, j in combinations(range(n), 2)}
     columns = []
     for a, b in combinations(range(n), 2):
@@ -414,6 +422,18 @@ def rref_mod_p(grid: list[list[int]], cols: int, p: int) -> tuple[list[list[int]
         pivots.append(c)
         r += 1
     return grid, pivots
+
+
+def reduce(u: Subspace, vec) -> list:
+    """Residual of vec after subtracting, row by row, its projection onto u's basis."""
+    v = [u.field.of(x) for x in vec]
+    if len(v) != u.ambient:
+        raise ValueError("ambient dimension mismatch")
+    for row, pc in zip(u.basis.data, u.pivots):
+        f = v[pc]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

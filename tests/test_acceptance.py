@@ -7,9 +7,9 @@ Every assertion is exact integer equality; no tolerances anywhere.
 import random
 import time
 
-from conftest import d1_by_table, intersect, rank2_stem_zoo, stem6_class3
+from conftest import d1_by_table, heisenberg, intersect, rank2_stem_zoo, stem6_class3
 
-from liemult import abelian, direct_sum, heisenberg
+from liemult import abelian, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member
 from liemult.cohomology import (
@@ -165,7 +165,7 @@ def _random_in_scope(rng):
         cid = CatalogId(fam, param=extra, abelian=rng.randrange(0, 4))
     else:
         cid = CatalogId(fam, abelian=rng.randrange(0, 4))
-    if cid.total_dim() > max_dim:
+    if cid.base_dim() + cid.abelian > max_dim:
         return None
     L = make_catalog(cid, field)
     return L.change_basis(random_invertible(field, L.dim, rng))
@@ -213,7 +213,7 @@ def test_criterion_08_direct_sum_multiplier():
     while done < 50:
         field = rng.choice((QQ, G5, G7))
         a_id, b_id = rng.choice(_PAIR_POOL), rng.choice(_PAIR_POOL)
-        total = a_id.total_dim() + b_id.total_dim()
+        total = a_id.base_dim() + a_id.abelian + b_id.base_dim() + b_id.abelian
         if total > (10 if field.char == 0 else 12):
             continue
         A = make_catalog(a_id, field)

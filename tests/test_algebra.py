@@ -8,6 +8,7 @@ from conftest import (
     bracket_by_table,
     center_by_equations,
     change_basis_by_pairs,
+    heisenberg,
     jacobi_breaker,
     jacobi_residuals_by_brackets,
     non_nilpotent,
@@ -16,10 +17,10 @@ from conftest import (
     unit,
 )
 
-from liemult import LieAlgebra, abelian, direct_sum, heisenberg, reduce_mod_p
+from liemult import LieAlgebra, abelian, direct_sum, reduce_mod_p
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
-from liemult.linalg import Subspace, random_invertible
+from liemult.linalg import Matrix, Subspace, random_invertible
 
 QQ = rationals()
 G5 = gf(5)
@@ -138,7 +139,7 @@ def test_ad_matches_table_references():
         algebras += [_random_table(field, n, rng, two_step=case % 2 == 0) for n in range(8) for case in range(6)]
         for L in algebras:
             n = L.dim
-            vectors = [L.basis_vector(i) for i in range(n)]
+            vectors = list(Matrix.identity(field, n).data)
             vectors += [[rng.choice(entries) for _ in range(n)] for _ in range(3)]
             for u in vectors:
                 for v in vectors:
@@ -169,16 +170,16 @@ def test_validate_is_computed_once(monkeypatch):
 
 
 def test_bracket_span_cases():
-    full = abelian(QQ, 3).full_space()
+    full = Subspace.full(QQ, 3)
     assert abelian(QQ, 3).bracket_span(full, full).dim == 0
 
     h = heisenberg(QQ, 1)
-    span = h.bracket_span(h.full_space(), h.full_space())
+    span = h.bracket_span(Subspace.full(QQ, 3), Subspace.full(QQ, 3))
     assert span == Subspace.span(QQ, 3, [unit(3, 2)])
 
     L = l4_3()
     derived = L.derived_subalgebra()
-    span = L.bracket_span(derived, L.full_space())
+    span = L.bracket_span(derived, Subspace.full(QQ, 4))
     assert span == Subspace.span(QQ, 4, [unit(4, 3)])  # [L^2, L] = <x4>
 
 
@@ -222,12 +223,12 @@ def test_derived_subalgebra_reads_the_series():
     cases = [LieAlgebra(QQ, 0), abelian(QQ, 3), non_nilpotent(QQ), sl2(QQ), sl2(G5)]
     cases += [L for _, L in rank2_stem_zoo(QQ)]
     for L in cases:
-        full = L.full_space()
+        full = Subspace.full(L.field, L.dim)
         assert L.derived_subalgebra() == L.bracket_span(full, full)
     for L in (sl2(QQ), sl2(G5)):
         assert L.validate() == []
         rep = L.series()
-        assert L.derived_subalgebra() == L.full_space()  # perfect: L^2 = L
+        assert L.derived_subalgebra() == Subspace.full(L.field, 3)  # perfect: L^2 = L
         assert not rep.is_nilpotent
         assert rep.lower_central_dims() == rep.derived_series_dims() == (3,)
         assert rep.derived_dim == 3
@@ -267,15 +268,13 @@ def test_quotient_heisenberg_by_center():
 
 
 def test_quotient_l4_3_by_top():
-    from liemult.linalg import Matrix
-
     L = l4_3()
     q, proj = L.quotient(Subspace.span(QQ, 4, [unit(4, 3)]))
     assert q.dim == 3
     assert q.table == heisenberg(QQ, 1).table  # induced table is [x1,x2] = x3
 
     def project(vec):
-        return (Matrix(QQ, [vec]) @ proj).row(0)
+        return (Matrix(QQ, [vec]) @ proj).data[0]
 
     # the projection is a bracket homomorphism
     u, v = (1, 2, 3, 4), (0, 1, 1, 0)
@@ -293,7 +292,7 @@ def test_quotient_class_never_grows():
     L = make_catalog(CatalogId(Family.L5_5, abelian=1), QQ)
     base_class = L.series().nilpotency_class
     center = L.series().center
-    for row in center.basis_rows():
+    for row in center.basis.data:
         q, _ = L.quotient(Subspace.span(QQ, L.dim, [row]))
         qrep = q.series()
         assert qrep.is_nilpotent and qrep.nilpotency_class <= base_class
@@ -337,8 +336,6 @@ def test_change_basis_preserves_everything():
 
 def test_change_basis_requires_invertible():
     L = heisenberg(QQ, 1)
-    from liemult.linalg import Matrix
-
     with pytest.raises(ValueError):
         L.change_basis(Matrix(QQ, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
@@ -346,7 +343,8 @@ def test_change_basis_requires_invertible():
 def test_abelianization_dimension():
     for L in (heisenberg(QQ, 2), l4_3(), make_catalog(CatalogId(Family.L1), QQ)):
         rep = L.series()
-        assert L.bracket_span(L.full_space(), L.full_space()) == rep.lower_central[1]
+        full = Subspace.full(QQ, L.dim)
+        assert L.bracket_span(full, full) == rep.lower_central[1]
         ab, _ = L.quotient(L.derived_subalgebra())
         assert ab.is_abelian
         assert ab.dim == L.dim - rep.derived_dim

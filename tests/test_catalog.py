@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import heisenberg
+
 from liemult.algebra import direct_sum, abelian
-from liemult.catalog import CONSTRUCTIBLE, CatalogId, Family, heisenberg, make_catalog
+from liemult.catalog import CONSTRUCTIBLE, CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
 
 QQ = rationals()
@@ -122,7 +124,7 @@ def test_fields_the_family_does_not_take_are_rejected():
 def test_total_dim_bookkeeping():
     cid = CatalogId(Family.L5_8, abelian=4)
     assert cid.base_dim() == 5
-    assert cid.total_dim() == 9
+    assert make_catalog(cid, QQ).dim == 9
     assert set(CONSTRUCTIBLE) == {
         Family.ABELIAN, Family.HEISENBERG, Family.L4_3, Family.L5_5,
         Family.L5_8, Family.L6_22, Family.L6_7_2, Family.L1,

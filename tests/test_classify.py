@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
+from conftest import heisenberg, intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
 
-from liemult import LieAlgebra, abelian, direct_sum, heisenberg
+from liemult import LieAlgebra, abelian, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member, stem_decompose
 from liemult.formulas import functor_report
@@ -75,8 +75,8 @@ def test_stem_center_is_center_cap_derived():
         # Z(T) equals Z(L) ∩ L^2 as a subspace, transported to the new basis
         pinv = invert(d.basis_change)
         transported = []
-        for row in core.basis_rows():
-            new_coords = (Matrix(L.field, [row]) @ pinv).row(0)
+        for row in core.basis.data:
+            new_coords = (Matrix(L.field, [row]) @ pinv).data[0]
             assert not any(new_coords[d.stem_dim:])  # lands inside the stem block
             transported.append(new_coords[: d.stem_dim])
         assert stem.series().center == Subspace.span(L.field, d.stem_dim, transported)
@@ -132,7 +132,7 @@ def test_classify_round_trip(cid, field):
     assert c.abelian == cid.abelian
     if cid.family is Family.HEISENBERG:
         assert c.rank == cid.rank
-    assert c.n == cid.total_dim()
+    assert c.n == cid.base_dim() + cid.abelian
 
 
 @pytest.mark.parametrize("cid,field", CATALOG_IDS)

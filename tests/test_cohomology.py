@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     d1_by_table,
     d2_by_brackets,
+    heisenberg,
     jacobi_breaker,
     out_of_scope_algebra,
     random_class3,
@@ -15,7 +16,7 @@ from conftest import (
     sweep_epicenter,
 )
 
-from liemult import LieAlgebra, abelian, cohomology, direct_sum, heisenberg
+from liemult import LieAlgebra, abelian, cohomology, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import has_rank2_member
 from liemult.cohomology import (

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import stem6_class3
+from conftest import heisenberg, stem6_class3
 
-from liemult import abelian, direct_sum, heisenberg
+from liemult import abelian, direct_sum
 from liemult.catalog import STEMS, CatalogId, Family, make_catalog
 from liemult.classify import classify
 from liemult.cohomology import schur_dim_oracle

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersect, rref_by_fractions, rref_mod_p, subspace_sum
+from conftest import heisenberg, intersect, reduce, rref_by_fractions, rref_mod_p, subspace_sum
 
-from liemult import heisenberg
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import cochain_complex
 from liemult.fields import Fp, gf, rationals
@@ -99,7 +98,38 @@ def test_quotient_map_projects_modulo_row_space(m, data):
     entries = residue_entries if m.field.is_prime_field else rational_entries
     v = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
     free = [c for c in range(u.ambient) if c not in u.pivots]
-    assert [u.reduce(v)[c] for c in free] == list((Matrix(m.field, [v]) @ proj).row(0))
+    assert [reduce(u, v)[c] for c in free] == list((Matrix(m.field, [v]) @ proj).data[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(QQ, rational_entries), (G5, residue_entries)]), st.integers(1, 5), st.data())
+def test_contains_subspace_matches_sum_reference(field_entries, n, data):
+    # U contains V exactly when U + V = U; V is drawn at random, as U itself,
+    # as 0, as one vector's span, as combinations of U's basis rows or as U
+    # plus one vector
+    field, entries = field_entries
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    u = Subspace.span(field, n, data.draw(st.lists(vectors, max_size=n)))
+    kind = data.draw(st.sampled_from(["random", "self", "zero", "line", "inside", "extend"]))
+    if kind == "self":
+        v = u
+    elif kind == "zero":
+        v = Subspace.span(field, n, [])
+    elif kind == "line":
+        v = Subspace.span(field, n, [data.draw(vectors)])
+    elif kind == "inside":
+        coeffs = data.draw(st.lists(st.lists(entries, min_size=u.dim, max_size=u.dim), max_size=3))
+        v = Subspace.span(field, n, (Matrix(field, coeffs, cols=u.dim) @ u.basis).data)
+    elif kind == "extend":
+        v = Subspace.span(field, n, u.basis.data + (tuple(data.draw(vectors)),))
+    else:
+        v = Subspace.span(field, n, data.draw(st.lists(vectors, max_size=n)))
+    assert u.contains_subspace(v) == (subspace_sum(u, v) == u)
+    assert v.contains_subspace(u) == (subspace_sum(u, v) == v)
+    if kind in ("self", "zero", "inside"):
+        assert u.contains_subspace(v)
+    if kind == "extend":
+        assert v.contains_subspace(u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,9 +196,10 @@ def test_subspace_canonical_representation():
 
 def test_contains_and_reduce():
     s = Subspace.span(QQ, 3, [[1, 0, 2]])
-    assert s.contains([2, 0, 4])
-    assert not s.contains([1, 1, 2])
-    assert s.reduce([3, 0, 6]) == [Fraction(0)] * 3
+    assert s.contains_subspace(Subspace.span(QQ, 3, [[2, 0, 4]]))
+    assert not s.contains_subspace(Subspace.span(QQ, 3, [[1, 1, 2]]))
+    assert not s.contains_subspace(Subspace.span(QQ, 3, [[1, 0, 2], [0, 1, 0]]))  # one row of two inside
+    assert reduce(s, [3, 0, 6]) == [Fraction(0)] * 3
 
 
 def test_ambient_mismatch_rejected():
@@ -178,6 +209,11 @@ def test_ambient_mismatch_rejected():
         u.contains_subspace(v)
     with pytest.raises(ValueError):
         v.contains_subspace(u)
+    w = Subspace.full(G5, 3)
+    with pytest.raises(ValueError, match="field mismatch"):
+        u.contains_subspace(w)
+    with pytest.raises(ValueError, match="field mismatch"):
+        w.contains_subspace(u)
 
 
 # -- elimination over GF(p) vs elimination on residues -----------------------

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import (
     wrong_stem_multiplier,
 )
 
-from liemult import abelian, direct_sum
+from liemult import LieAlgebra, abelian, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import has_rank2_member
 from liemult.fields import gf, rationals
@@ -104,6 +106,35 @@ def test_cross_check_passes_on_random_class3():
             stems.add((r.classification.family, r.classification.stem_dim))
     assert {(Family.L4_3, 4), (Family.L5_5, 5)} <= stems
     assert {(Family.STEM_CLASS3_DIM2, 6), (Family.STEM_CLASS3_DIM2, 7)} <= stems
+
+
+@pytest.mark.parametrize("p, expected", [
+    (2, {"L6_7_2": 106, "L5_8 + A(1)": 18}),
+    (3, {"L6_22": 1356, "L5_8 + A(1)": 96}),
+])
+def test_cross_check_exhaustive_class2_dim6(p, expected):
+    """Every class-2 algebra of dim 6 with dim L^2 = 2 over GF(p), up to a change of basis.
+
+    L^2 is central, so the bracket is a pencil (B1, B2) of alternating forms
+    on V = L/L^2, of dim 4, with values in L^2 = <x5, x6>.  GL(V) brings B1
+    to the Darboux form of its rank, e12 or e12 + e34, and B2 runs over all
+    p^6 alternating forms on V.  The pairs with dim L^2 = 2 are kept; they
+    cover every such algebra, most of them many times.  Each one is
+    cross-checked, capability included, and the verdicts are pinned.
+    """
+    field = gf(p)
+    pairs = list(combinations(range(4), 2))
+    verdicts = Counter()
+    for b1 in ({(0, 1)}, {(0, 1), (2, 3)}):
+        for b2 in product(range(p), repeat=len(pairs)):
+            table = {pair: [0, 0, 0, 0, int(pair in b1), c] for pair, c in zip(pairs, b2)}
+            L = LieAlgebra(field, 6, table)
+            if L.series().derived_dim != 2:
+                continue
+            r = cross_check(L, f"pencil{b2}")
+            assert r.ok and len(r.checks) == 5, (b1, b2, [c for c in r.checks if not c.ok])
+            verdicts[r.classification.describe()] += 1
+    assert verdicts == expected
 
 
 def test_cross_check_out_of_scope_has_no_checks():
