@@ -13,12 +13,13 @@ builds d2.
 
 Brackets of coordinate vectors come from :meth:`LieAlgebra.ad`, the n x n
 matrix of x ↦ [x, v] built in one pass over the table: ``bracket(u, v)``
-is ``u @ ad(v)``, ``change_basis`` takes the new brackets from n products
-``P @ ad(p_j)``, and ``series`` builds the n maps ``ad(x_j)`` once: L^{k+1}
-spans ``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`.  L^2
-is the span of the table's own vectors, the rows of d1 up to sign.
-Brackets of basis vectors are read off the table directly, by
-:meth:`LieAlgebra.structure_vector` and by the d2 rows in :mod:`liemult.cohomology`.
+is ``u @ ad(v)`` and ``change_basis`` takes the new brackets from n products
+``P @ ad(p_j)``.  Brackets of basis vectors are read off the table directly,
+with no multiply-add: ``series`` reads the n maps ``ad(x_j)`` off it
+(row i is :meth:`LieAlgebra.structure_vector` (i, j)), L^{k+1} spans
+``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`; L^2 is the
+span of the table's own vectors, the rows of d1 up to sign; and the d2 rows
+in :mod:`liemult.cohomology` are assembled from the table's entries.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -146,7 +147,9 @@ class LieAlgebra:
         """
         if self._series is not None:
             return self._series
-        maps = [self.ad(e) for e in Matrix.identity(self.field, self.dim).data]  # ad(x_j), built once
+        n = self.dim
+        # ad(x_j), read off the table: row i is [x_i, x_j]
+        maps = [Matrix(self.field, [self.structure_vector(i, j) for i in range(n)], cols=n) for j in range(n)]
         lower = [Subspace.full(self.field, self.dim)]
         nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent

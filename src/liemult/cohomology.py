@@ -17,8 +17,13 @@ product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
 `jacobi_residuals` computes its nonzero rows, and it is the only Jacobi
 check in the package: `LieAlgebra.validate` keeps its result on the
 algebra, and `cochain_complex` refuses an algebra whose list is not
-empty.  d1 is never built: its rows are the negated table vectors, so
-its rank is dim L^2, the span that `LieAlgebra.series` already keeps.
+empty.  The product is summed on Python ints, one integer vector per
+term denominator; field scalars are made only for each row's residual.
+The denominators are grouped rather than cleared to one lcm for the whole
+table, because that lcm grows with the number of distinct denominators
+and every product would carry it.  d1 is never built: its rows are the
+negated table vectors, so its rank is dim L^2, the span that
+`LieAlgebra.series` already keeps.
 `cochain_complex` returns d2, and the multiplier dimension is
 
     C(n,2) - rank(d2) - dim L^2.
@@ -37,10 +42,12 @@ it must when d2 is the complex of a Lie algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, annihilator, rref
+from .fields import Fp
+from .linalg import Matrix, Subspace, annihilator, integer_row, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -56,14 +63,15 @@ class ComplexIntegrityError(ValueError):
 
 def _d2_rows(L: LieAlgebra, triples):
     """Row (i, j, k) of d2 as {pair: coefficient}, nonzero entries only."""
+    support = {pair: [(l, c, -c) for l, c in enumerate(vec) if c] for pair, vec in L.table.items()}
     for (i, j, k) in triples:
         row = {}
         for pair, other, negate in (((i, j), k, True), ((i, k), j, False), ((j, k), i, True)):
             # adds ±w([..], x_other); w is alternating, so w(x_l, x_other) = -w(x_other, x_l)
-            for l, c in enumerate(L.table.get(pair, ())):
-                if c and l != other:
+            for l, c, minus_c in support.get(pair, ()):
+                if l != other:
                     if negate != (l > other):
-                        c = -c
+                        c = minus_c
                     key = (l, other) if l < other else (other, l)
                     row[key] = row[key] + c if key in row else c
         yield {key: c for key, c in row.items() if c}
@@ -75,18 +83,41 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
     Row (i, j, k) is [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  Row (l, m)
     of d1 is -[x_l, x_m], so the product visits only the d2 entries whose
     pair has a nonzero bracket.
+
+    The product runs on Python ints.  Each table vector enters once as
+    `integer_row`: integers over the lcm of its own denominators (over
+    GF(p), its residues over 1).  A row keeps one integer vector per term
+    denominator, the d2 coefficient's times the vector's, and field scalars
+    are made only for the row's residual: the groups' `Fraction` sum over Q,
+    the residues mod p over GF(p).  The denominators are grouped, not
+    cleared to one lcm for the whole table: on a dense dim-12 table whose
+    792 entries have distinct 7-digit prime denominators, that lcm has about
+    4,750 digits, every product carries it, and the check runs about 40
+    times longer than with the groups.
     """
+    p = L.field.p
     zero = L.field.zero
+    scalar = Fraction if p is None else (lambda x, _: Fp(x, p))
+    vectors = {pair: integer_row(vec, p) for pair, vec in L.table.items()}
     violations = []
     triples = triple_basis(L.dim)
     for triple, row in zip(triples, _d2_rows(L, triples)):
-        acc = [zero] * L.dim
+        groups: dict[int, list[int]] = {}  # term denominator -> integer residual
         for pair, c in row.items():
-            vec = L.table.get(pair)
-            if vec is not None:
-                acc = [a - c * b for a, b in zip(acc, vec)]
-        if any(acc):
-            violations.append(JacobiViolation(*triple, tuple(acc)))
+            entry = vectors.get(pair)
+            if entry is not None:
+                vec, den = entry
+                a, d = c.as_integer_ratio() if p is None else (c.val, 1)
+                d *= den
+                acc = groups.get(d)
+                groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
+        nonzero = [(d, acc) for d, acc in groups.items() if any(acc)]
+        if nonzero:  # the row's field scalars, made only now
+            residual = [zero] * L.dim
+            for d, acc in nonzero:
+                residual = [r + scalar(x, d) if x else r for r, x in zip(residual, acc)]
+            if any(residual):
+                violations.append(JacobiViolation(*triple, tuple(residual)))
     return violations
 
 

@@ -150,6 +150,16 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def integer_row(row: Sequence, p: int | None) -> tuple[list[int], int]:
+    """(ints, den) with row = ints / den: over Q, den is the lcm of the row's
+    denominators; over GF(p), ints are the residues and den is 1."""
+    if p is not None:
+        return [x.val for x in row], 1
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
 def rref(m: Matrix) -> "Subspace":
     """The row space of m: its reduced row echelon basis and pivot columns.
 
@@ -158,15 +168,11 @@ def rref(m: Matrix) -> "Subspace":
     p = m.field.p
     zero = m.field.zero
     if p is None:
-        rows = []
-        for row in m.data:
-            ratios = [x.as_integer_ratio() for x in row]
-            den = lcm(*[d for _, d in ratios])
-            rows.append(_primitive([n * (den // d) for n, d in ratios]))
+        rows = [_primitive(integer_row(row, None)[0]) for row in m.data]
         pivots = _gauss_jordan(rows, m.cols, _primitive)
         grid = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
     else:
-        rows = [[x.val for x in row] for row in m.data]
+        rows = [integer_row(row, p)[0] for row in m.data]
         pivots = _gauss_jordan(rows, m.cols, lambda row: [x % p for x in row])
         grid = []
         for row, c in zip(rows, pivots):

@@ -88,14 +88,15 @@ def test_validate_detects_violation():
     assert any(v.residual)
 
 
-def _random_table(field, n, rng, two_step):
+def _random_table(field, n, rng, two_step, entries=None):
     """Random small brackets; a two-step table is always a Lie algebra.
 
     A two-step table brackets the first g generators into the last n - g
     coordinates, so every double bracket vanishes; otherwise each pair gets
     a random vector with probability 1/2, which rarely satisfies Jacobi.
     """
-    entries = range(field.p) if field.is_prime_field else (-2, -1, 0, 0, 1, 2, Fraction(1, 2))
+    if entries is None:
+        entries = range(field.p) if field.is_prime_field else (-2, -1, 0, 0, 1, 2, Fraction(1, 2))
     g = rng.randrange(n + 1) if two_step else n  # generators with brackets
     low = g if two_step else 0  # coordinates kept zero
     table = {
@@ -121,6 +122,35 @@ def test_validate_matches_bracket_reference():
                 invalid += bool(expected)
                 total += 1
     assert min(invalid, total - invalid) >= 50  # both kinds are well represented
+
+
+def test_validate_matches_bracket_reference_on_mixed_denominators():
+    # the integer residuals keep one vector per term denominator: coprime
+    # denominators must not cancel or merge, and a residue near 2^31 must
+    # reduce mod p only in the final residual
+    rng = random.Random(20261019)
+    fractions = (0, 0, 1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(4, 9), Fraction(1, 6))
+    kinds = dict.fromkeys([(f, bad) for f in ("Q", "GF(2147483647)") for bad in (False, True)], 0)
+    for field, entries in ((QQ, fractions), (gf(2**31 - 1), None)):
+        for n in range(3, 8):
+            for case in range(8):
+                L = _random_table(field, n, rng, two_step=case % 4 < 2, entries=entries)
+                if case % 2:
+                    L = L.change_basis(random_invertible(field, n, rng))
+                expected = jacobi_residuals_by_brackets(L)
+                assert L.validate() == expected, (field, n, case)
+                kinds[str(field), bool(expected)] += 1
+    assert min(kinds.values()) >= 15, kinds  # both kinds, over both fields
+
+
+def test_validate_hand_expanded_residuals():
+    # [x1,x2] = 1/3 x3, [x1,x3] = 2/5 x4, [x2,x4] = 3/7 x1: on (1,2,3)
+    # [[x1,x2],x3] + [[x2,x3],x1] + [[x3,x1],x2] = 0 + 0 + 2/5·3/7 x1, and on
+    # (2,3,4) [[x2,x3],x4] + [[x3,x4],x2] + [[x4,x2],x3] = -3/7·2/5 x4
+    L = LieAlgebra(QQ, 4, {(0, 1): (0, 0, Fraction(1, 3), 0), (0, 2): (0, 0, 0, Fraction(2, 5)), (1, 3): (Fraction(3, 7), 0, 0, 0)})
+    residual = Fraction(6, 35)
+    assert L.validate() == [(0, 1, 2, (residual, 0, 0, 0)), (1, 2, 3, (0, 0, 0, -residual))]
+    assert L.validate() == jacobi_residuals_by_brackets(L)
 
 
 def sl2(field):
@@ -243,15 +273,24 @@ def test_series_is_computed_once():
 
 
 def test_series_builds_each_ad_once(monkeypatch):
-    # the lower central steps and Z(L) all read the n maps ad(x_j); the
-    # derived series adds ad(b) over a basis of L^2 for [L^2, L^2]
-    calls = []
-    real = LieAlgebra.ad
-    monkeypatch.setattr(LieAlgebra, "ad", lambda self, v: calls.append(v) or real(self, v))
-    L = direct_sum(l4_3(), abelian(QQ, 2))
-    assert L.series().lower_central_dims() == (6, 2, 1, 0)
-    assert L.series().center.dim == 3
-    assert len(calls) == L.dim + L.derived_subalgebra().dim
+    # the lower central steps and Z(L) read the n maps ad(x_j) off the table,
+    # with no call to ad; only the derived series calls ad(b), over a basis
+    # of L^2, for [L^2, L^2]
+    import liemult.algebra as algebra
+
+    calls, annihilated = [], []
+    real_ad, real_annihilator = LieAlgebra.ad, algebra.annihilator
+    monkeypatch.setattr(LieAlgebra, "ad", lambda self, v: calls.append(v) or real_ad(self, v))
+    monkeypatch.setattr(algebra, "annihilator", lambda f, n, maps: annihilated.append(maps) or real_annihilator(f, n, maps))
+    for field in (QQ, G5):
+        L = direct_sum(l4_3(field), abelian(field, 2)).change_basis(random_invertible(field, 6, random.Random(3)))
+        calls.clear()
+        annihilated.clear()
+        assert L.series().lower_central_dims() == (6, 2, 1, 0)
+        assert L.series().center.dim == 3
+        assert len(calls) == L.derived_subalgebra().dim == 2
+        (maps,) = annihilated  # Z(L), the one annihilator of the series
+        assert maps == [real_ad(L, e).data for e in Matrix.identity(field, 6).data]
 
 
 def test_quotient_by_zero_is_isomorphic_copy():
