@@ -8,7 +8,7 @@ computation (degree-2 cohomology, and the epicenter as the kernel of the
 exterior-square pairing read off the same reduced differential).
 """
 
-from .algebra import LieAlgebra, SeriesReport, abelian, direct_sum, reduce_mod_p
+from .algebra import LieAlgebra, SeriesReport, direct_sum, reduce_mod_p
 from .catalog import CatalogId, Family, make_catalog
 from .classify import Classification, StemDecomposition, classify, has_rank2_member, stem_decompose
 from .cohomology import (
@@ -23,7 +23,7 @@ from .document import DocumentError, dumps_algebra, loads_algebra
 from .fields import FieldSpec, Fp, gf, rationals
 from .formulas import FunctorReport, functor_report
 from .linalg import Matrix, Subspace, kernel, invert, random_invertible, rref
-from .verify import CrossCheckReport, builtin_suite, cross_check, run_suite
+from .verify import CrossCheckReport, builtin_suite, cross_check
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "SeriesReport",
     "StemDecomposition",
     "Subspace",
-    "abelian",
     "builtin_suite",
     "classify",
     "cochain_complex",
@@ -63,7 +62,6 @@ __all__ = [
     "rationals",
     "reduce_mod_p",
     "rref",
-    "run_suite",
     "schur_dim_oracle",
     "stem_decompose",
 ]

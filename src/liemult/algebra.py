@@ -181,11 +181,11 @@ class LieAlgebra:
         """
         if ideal.ambient != self.dim:
             raise ValueError("ideal ambient dimension must match the algebra")
-        if not ideal.contains_subspace(self.bracket_span(Subspace.full(self.field, self.dim), ideal)):
-            raise ValueError("subspace is not an ideal")
         keep = [j for j in range(self.dim) if j not in ideal.pivots]
         q = len(keep)
         proj = Matrix(self.field, ideal.quotient_map(), cols=q)
+        if not (self.bracket_span(Subspace.full(self.field, self.dim), ideal).basis @ proj).is_zero():
+            raise ValueError("subspace is not an ideal")  # [L, I] has a nonzero image in L/I
         pairs = [(a, b) for b in range(q) for a in range(b)]
         brackets = Matrix(self.field, [self.structure_vector(keep[a], keep[b]) for a, b in pairs], cols=self.dim)
         table = dict(zip(pairs, (brackets @ proj).data))
@@ -249,10 +249,6 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.field, n, table)
 
 
-def abelian(field: FieldSpec, n: int) -> LieAlgebra:
-    return LieAlgebra(field, n)
-
-
 def reduce_mod_p(L: LieAlgebra, p: int) -> LieAlgebra:
     """Reduce a rational structure table mod p.
 
@@ -263,13 +259,12 @@ def reduce_mod_p(L: LieAlgebra, p: int) -> LieAlgebra:
     """
     if L.field.is_prime_field:
         raise ValueError("algebra is already over a prime field")
-    target = FieldSpec(p)
+    source, target = L.field, FieldSpec(p)
     table = {}
     for key, vec in L.table.items():
-        row = []
-        for x in vec:
-            if x.denominator % p == 0:
-                raise ValueError(f"coefficient {x} has denominator divisible by {p}")
-            row.append(target.of(x.numerator) / target.of(x.denominator))
-        table[key] = row
+        ints, den = source.encode(vec)
+        if den % p == 0:  # den is the lcm of the denominators, and p is prime
+            bad = next(x for x in vec if source.ratio(x)[1] % p == 0)
+            raise ValueError(f"coefficient {bad} has denominator divisible by {p}")
+        table[key] = target.decode(ints, den)
     return LieAlgebra(target, L.dim, table, L.labels)

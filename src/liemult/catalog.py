@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import LieAlgebra, direct_sum, abelian
+from .algebra import LieAlgebra, direct_sum
 from .fields import FieldSpec, Scalar
 
 
@@ -127,4 +127,4 @@ def make_catalog(id: CatalogId, field: FieldSpec) -> LieAlgebra:
     core = LieAlgebra(field, base, _core_table(id, field, base))
     if id.abelian == 0:
         return core
-    return direct_sum(core, abelian(field, id.abelian))
+    return direct_sum(core, LieAlgebra(field, id.abelian))

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 I/O or parse or usage error, 2 validation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -31,7 +32,7 @@ from .document import (
 from .fields import FieldSpec, rationals
 from .linalg import random_invertible
 from .report import DEFAULT_SWEEP_PRIME, build_report
-from .verify import builtin_suite, cross_check, run_suite
+from .verify import builtin_suite, cross_check
 
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "prime", None) is not None:
@@ -139,16 +140,16 @@ def cmd_report(args) -> int:
         _print_err(str(exc))
         return 1
     if args.pretty:
-        _print_pretty_report(report)
+        _print_pretty_report(report, algebra.field)
     else:
         print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 3
 
 
-def _print_pretty_report(report: dict):
+def _print_pretty_report(report: dict, field: FieldSpec):
     inp = report["input"]
     series = report["series"]
-    print(f"input    : dim {inp['dim']} over {_field_str(inp['field'])}  (digest {inp['digest'][:12]})")
+    print(f"input    : dim {inp['dim']} over {field}  (digest {inp['digest'][:12]})")
     if inp["randomized_basis"]:
         print(f"basis    : randomized with seed {inp['seed']}")
     if not series["nilpotent"]:
@@ -185,10 +186,6 @@ def _print_pretty_report(report: dict):
     print(f"verdict  : {'ok' if report['ok'] else 'MISMATCH'}")
 
 
-def _field_str(field_json) -> str:
-    return "Q" if field_json == "rationals" else f"GF({field_json['prime']})"
-
-
 def cmd_check(args) -> int:
     prime = args.prime or DEFAULT_SWEEP_PRIME
     had_parse_error = had_invalid = False
@@ -216,7 +213,7 @@ def cmd_check(args) -> int:
                 continue
             results.append(cross_check(algebra, path.name, capability_prime=prime))
     else:
-        results = run_suite(builtin_suite(prime))
+        results = sorted((cross_check(a, name, cap) for name, a, cap in builtin_suite(prime)), key=lambda r: r.name)
 
     rule_pass: dict[str, list[int]] = {}
     failed = 0
@@ -250,6 +247,7 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: `main` may be called many times in-process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemult",

@@ -18,7 +18,7 @@ product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
 check in the package: `LieAlgebra.validate` keeps its result on the
 algebra, and `cochain_complex` refuses an algebra whose list is not
 empty.  The product is summed on Python ints, one integer vector per
-term denominator; field scalars are made only for each row's residual.
+term denominator; field scalars are decoded only for each row's residual.
 The denominators are grouped rather than cleared to one lcm for the whole
 table, because that lcm grows with the number of distinct denominators
 and every product would carry it.  d1 is never built: its rows are the
@@ -42,12 +42,10 @@ it must when d2 is the complex of a Lie algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .fields import Fp
-from .linalg import Matrix, Subspace, annihilator, integer_row, rref
+from .linalg import Matrix, Subspace, annihilator, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -84,21 +82,19 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
     of d1 is -[x_l, x_m], so the product visits only the d2 entries whose
     pair has a nonzero bracket.
 
-    The product runs on Python ints.  Each table vector enters once as
-    `integer_row`: integers over the lcm of its own denominators (over
-    GF(p), its residues over 1).  A row keeps one integer vector per term
-    denominator, the d2 coefficient's times the vector's, and field scalars
-    are made only for the row's residual: the groups' `Fraction` sum over Q,
-    the residues mod p over GF(p).  The denominators are grouped, not
-    cleared to one lcm for the whole table: on a dense dim-12 table whose
-    792 entries have distinct 7-digit prime denominators, that lcm has about
-    4,750 digits, every product carries it, and the check runs about 40
-    times longer than with the groups.
+    The product runs on Python ints.  Each table vector enters once as the
+    field's `encode` (integers over one denominator) and each d2 coefficient
+    as its `ratio`.  A row keeps one integer vector per term denominator,
+    the d2 coefficient's times the vector's, and field scalars are decoded
+    only for the row's residual.  The denominators are grouped, not cleared
+    to one lcm for the whole table: on a dense dim-12 table whose 792 entries
+    have distinct 7-digit prime denominators, that lcm has about 4,750
+    digits, every product carries it, and the check runs about 40 times
+    longer than with the groups.
     """
-    p = L.field.p
-    zero = L.field.zero
-    scalar = Fraction if p is None else (lambda x, _: Fp(x, p))
-    vectors = {pair: integer_row(vec, p) for pair, vec in L.table.items()}
+    field, zero = L.field, L.field.zero
+    ratio = field.ratio
+    vectors = {pair: field.encode(vec) for pair, vec in L.table.items()}
     violations = []
     triples = triple_basis(L.dim)
     for triple, row in zip(triples, _d2_rows(L, triples)):
@@ -107,7 +103,7 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
             entry = vectors.get(pair)
             if entry is not None:
                 vec, den = entry
-                a, d = c.as_integer_ratio() if p is None else (c.val, 1)
+                a, d = ratio(c)
                 d *= den
                 acc = groups.get(d)
                 groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
@@ -115,7 +111,7 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
         if nonzero:  # the row's field scalars, made only now
             residual = [zero] * L.dim
             for d, acc in nonzero:
-                residual = [r + scalar(x, d) if x else r for r, x in zip(residual, acc)]
+                residual = [r + s if s else r for r, s in zip(residual, field.decode(acc, d))]
             if any(residual):
                 violations.append(JacobiViolation(*triple, tuple(residual)))
     return violations

@@ -6,6 +6,10 @@ stored canonically in ``[0, p)``.  Both support ``+ - * /``, unary ``-``,
 and truthiness as the zero test, so all linear algebra in this package is
 written once, field-agnostically.
 
+Code that computes on Python ints goes through the integer codec,
+:meth:`FieldSpec.encode`, :meth:`FieldSpec.ratio` and :meth:`FieldSpec.decode`,
+so no other module knows what a scalar is made of.
+
 Scalars from different fields never mix; mixing raises ``TypeError``.
 """
 
@@ -14,7 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -158,6 +163,27 @@ class FieldSpec:
         if not _INT_RE.match(text):
             raise ValueError(f"not an integer literal: {text!r}")
         return Fp(int(text), self.p)
+
+    def encode(self, row: Sequence[Scalar]) -> tuple[list[int], int]:
+        """(ints, den) with row = ints / den: over Q, den is the lcm of the
+        denominators; over GF(p), ints are the residues and den is 1."""
+        if self.p is not None:
+            return [x.val for x in row], 1
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        return [n * (den // d) for n, d in ratios], den
+
+    def ratio(self, x: Scalar) -> tuple[int, int]:
+        """(num, den) with x = num / den: lowest terms over Q, (residue, 1) over GF(p)."""
+        return x.as_integer_ratio() if self.p is None else (x.val, 1)
+
+    def decode(self, ints: Sequence[int], den: int) -> list[Scalar]:
+        """The scalars ints / den, for any ints and a unit den: one inverse per call."""
+        zero, p = self.zero, self.p
+        if p is None:
+            return [Fraction(x, den) if x else zero for x in ints]
+        inv = pow(den, -1, p)
+        return [Fp(x * inv, p) if x else zero for x in ints]
 
     def format(self, x: Scalar) -> str:
         if not self.owns(x):

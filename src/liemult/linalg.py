@@ -13,21 +13,21 @@ Everything is exact.  ``rref`` returns the row space of its matrix as a
 columns, which every caller reads instead of rescanning the rows.  Both
 fields share one elimination loop: fraction-free Gauss-Jordan on Python
 ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
-Bareiss's exact division.  A rational row enters with its denominators
-cleared and is kept primitive (divided by the gcd of its entries); a
-GF(p) row enters as its residues and is reduced mod p after each update.
-Field scalars are created only by the final division of each pivot row by
-its pivot: ``Fraction`` over Q, :class:`~liemult.fields.Fp` over GF(p).
+Bareiss's exact division.  Each row enters through the field's integer
+codec, :meth:`~liemult.fields.FieldSpec.encode`, and only the normaliser
+depends on the field: a rational row is kept primitive (divided by the gcd
+of its entries), a GF(p) row is reduced mod p after each update.  Field
+scalars are created only by the final division of each pivot row by its
+pivot, :meth:`~liemult.fields.FieldSpec.decode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .fields import FieldSpec, Fp
+from .fields import FieldSpec
 
 
 class Matrix:
@@ -150,35 +150,21 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def integer_row(row: Sequence, p: int | None) -> tuple[list[int], int]:
-    """(ints, den) with row = ints / den: over Q, den is the lcm of the row's
-    denominators; over GF(p), ints are the residues and den is 1."""
-    if p is not None:
-        return [x.val for x in row], 1
-    ratios = [x.as_integer_ratio() for x in row]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
 def rref(m: Matrix) -> "Subspace":
     """The row space of m: its reduced row echelon basis and pivot columns.
 
     The basis holds the pivot rows only, so the rank is ``rref(m).dim``.
     """
-    p = m.field.p
-    zero = m.field.zero
-    if p is None:
-        rows = [_primitive(integer_row(row, None)[0]) for row in m.data]
-        pivots = _gauss_jordan(rows, m.cols, _primitive)
-        grid = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+    field, p = m.field, m.field.p
+    rows = [field.encode(row)[0] for row in m.data]
+    if p is None:  # the normaliser; encoded GF(p) rows are residues already
+        normalise = _primitive
+        rows = [_primitive(row) for row in rows]
     else:
-        rows = [integer_row(row, p)[0] for row in m.data]
-        pivots = _gauss_jordan(rows, m.cols, lambda row: [x % p for x in row])
-        grid = []
-        for row, c in zip(rows, pivots):
-            inv = pow(row[c], -1, p)
-            grid.append([Fp(x * inv, p) if x else zero for x in row])
-    return Subspace(Matrix(m.field, grid, cols=m.cols), tuple(pivots))
+        normalise = lambda row: [x % p for x in row]
+    pivots = _gauss_jordan(rows, m.cols, normalise)
+    grid = [field.decode(row, row[c]) for row, c in zip(rows, pivots)]
+    return Subspace(Matrix(field, grid, cols=m.cols), tuple(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":

@@ -134,9 +134,3 @@ def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
         add(f"L6_7_2(1)+A({k})[GF(2)]", named(Family.L6_7_2, g2, param=1, extra=k))
 
     return entries
-
-
-def run_suite(entries: list[SuiteEntry]) -> list[CrossCheckReport]:
-    """Cross-check each entry; results are sorted by name for determinism."""
-    reports = [cross_check(alg, name, cap) for name, alg, cap in entries]
-    return sorted(reports, key=lambda r: r.name)

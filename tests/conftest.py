@@ -18,14 +18,18 @@ read the table pair by pair, as `LieAlgebra` did before it derived the
 brackets of coordinate vectors from `ad`; no reference calls the code it checks.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
-`random_class3` class-3 algebras with dim L^2 = 2, and
-`rank2_member_by_enumeration` is the reference for
+`random_class3` class-3 algebras with dim L^2 = 2;
+`class2_pencils` and `class3_normal_forms` enumerate every class-2 pencil
+and class-3 normal form of a given size over GF(p) for the exhaustive
+boxes, and `box_verdicts` cross-checks each algebra of a box and tallies
+its verdicts; and `rank2_member_by_enumeration` is the reference for
 `classify.has_rank2_member` over GF(p): it ranks each of the p + 1 members
 of the pencil.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 import liemult.formulas as formulas
@@ -34,6 +38,7 @@ from liemult.algebra import JacobiViolation
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
 from liemult.fields import FieldSpec
 from liemult.linalg import Matrix, Subspace, invert, kernel, rref
+from liemult.verify import cross_check
 
 
 def unit(n: int, k: int):
@@ -130,6 +135,49 @@ def random_class3(field: FieldSpec, g: int, rng) -> LieAlgebra:
                 vec[g + 1] = rng.choice(nonzero)
             table[(i, j)] = vec
     return LieAlgebra(field, n, table)
+
+
+def class2_pencils(field: FieldSpec, dim: int):
+    """Every pencil (B1, B2) on the dim - 2 generators with B1 in Darboux form.
+
+    [x_i, x_j] = B1_ij x_{dim-1} + B2_ij x_dim: B1 runs over e12, e12 + e34,
+    ... and B2 over every alternating form.  Yields the algebras with
+    dim L^2 = 2, in a fixed order.
+    """
+    g = dim - 2
+    pairs = list(combinations(range(g), 2))
+    for rank in range(1, g // 2 + 1):
+        b1 = {(2 * t, 2 * t + 1) for t in range(rank)}
+        for b2 in product(range(field.p), repeat=len(pairs)):
+            table = {pair: [0] * g + [int(pair in b1), c] for pair, c in zip(pairs, b2)}
+            L = LieAlgebra(field, dim, table)
+            if L.series().derived_dim == 2:
+                yield L
+
+
+def class3_normal_forms(field: FieldSpec, g: int):
+    """[x1,x2] = y, [x1,y] = z plus every 2-form w from the g generators into z.
+
+    The shape of `random_class3`, enumerated: [x_i, x_j] gains w_ij z for
+    every pair of generators, (1, 2) included, so p^C(g,2) algebras.
+    """
+    n = g + 2
+    pairs = list(combinations(range(g), 2))
+    for w in product(range(field.p), repeat=len(pairs)):
+        table = {(0, g): unit(n, g + 1)}
+        for (i, j), c in zip(pairs, w):
+            table[(i, j)] = [0] * g + [int((i, j) == (0, 1)), c]
+        yield LieAlgebra(field, n, table)
+
+
+def box_verdicts(algebras) -> Counter:
+    """Cross-check every algebra, capability included; the histogram of verdicts."""
+    verdicts = Counter()
+    for L in algebras:
+        r = cross_check(L)
+        assert r.ok and len(r.checks) == 5, (L.table, [c for c in r.checks if not c.ok])
+        verdicts[r.classification.describe()] += 1
+    return verdicts
 
 
 def rank2_member_by_enumeration(L: LieAlgebra) -> bool:

@@ -9,7 +9,7 @@ import time
 
 from conftest import d1_by_table, heisenberg, intersect, rank2_stem_zoo, stem6_class3
 
-from liemult import abelian, direct_sum
+from liemult import LieAlgebra, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member
 from liemult.cohomology import (
@@ -90,7 +90,7 @@ def test_criterion_03_heisenberg_family():
 
 def test_criterion_04_abelian_family():
     for n in range(1, 9):
-        L = _touch(abelian(QQ, n))
+        L = _touch(LieAlgebra(QQ, n))
         fr = functor_report(classify(L))
         assert fr.schur == n * (n - 1) // 2 == schur_dim_oracle(L)
         assert fr.tensor == n * n == oracle_report(L).tensor
@@ -239,7 +239,7 @@ def test_criterion_09_rank2_admissible_set():
         n = L.dim
         top = (n - 2) * (n - 3) // 2
         assert schur_dim_oracle(L) == (top if has_rank2_member(L) else top - 2), name
-        for M in (L, direct_sum(L, abelian(G5, 1))):
+        for M in (L, direct_sum(L, LieAlgebra(G5, 1))):
             c = classify(M)
             assert c.family is Family.GEN_HEISENBERG_RANK2, name
             assert functor_report(c).schur == schur_dim_oracle(M), name
@@ -266,7 +266,7 @@ def test_criterion_10_harness_integrity():
         rng = random.Random(20260810)
         population = [make_catalog(cid, field) for _, cid, field, *_ in GOLDEN_SIX]
         population += [heisenberg(G5, m, k) for m in (1, 2, 3, 4) for k in (0, 1)]
-        population += [abelian(QQ, n) for n in range(1, 9)]
+        population += [LieAlgebra(QQ, n) for n in range(1, 9)]
         population += [stem6_class3(G5)] + [L for _, L in rank2_stem_zoo(G5)]
         while len(population) < 80:
             L = _random_in_scope(rng)

@@ -17,7 +17,7 @@ from conftest import (
     unit,
 )
 
-from liemult import LieAlgebra, abelian, direct_sum, reduce_mod_p
+from liemult import LieAlgebra, direct_sum, reduce_mod_p
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
 from liemult.linalg import Matrix, Subspace, random_invertible
@@ -74,7 +74,7 @@ def test_ad_and_bracket_reject_wrong_length():
 
 
 def test_validate_abelian_and_heisenberg():
-    assert abelian(QQ, 4).validate() == []
+    assert LieAlgebra(QQ, 4).validate() == []
     assert heisenberg(QQ, 1).validate() == []
     assert heisenberg(G5, 3).validate() == []
 
@@ -201,7 +201,7 @@ def test_validate_is_computed_once(monkeypatch):
 
 def test_bracket_span_cases():
     full = Subspace.full(QQ, 3)
-    assert abelian(QQ, 3).bracket_span(full, full).dim == 0
+    assert LieAlgebra(QQ, 3).bracket_span(full, full).dim == 0
 
     h = heisenberg(QQ, 1)
     span = h.bracket_span(Subspace.full(QQ, 3), Subspace.full(QQ, 3))
@@ -214,7 +214,7 @@ def test_bracket_span_cases():
 
 
 def test_series_abelian():
-    rep = abelian(QQ, 5).series()
+    rep = LieAlgebra(QQ, 5).series()
     assert rep.nilpotency_class == 1
     assert rep.lower_central_dims() == (5, 0)
     assert rep.center.dim == 5
@@ -250,7 +250,7 @@ def sl2(field):
 
 
 def test_derived_subalgebra_reads_the_series():
-    cases = [LieAlgebra(QQ, 0), abelian(QQ, 3), non_nilpotent(QQ), sl2(QQ), sl2(G5)]
+    cases = [LieAlgebra(QQ, 0), LieAlgebra(QQ, 3), non_nilpotent(QQ), sl2(QQ), sl2(G5)]
     cases += [L for _, L in rank2_stem_zoo(QQ)]
     for L in cases:
         full = Subspace.full(L.field, L.dim)
@@ -283,7 +283,7 @@ def test_series_builds_each_ad_once(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "ad", lambda self, v: calls.append(v) or real_ad(self, v))
     monkeypatch.setattr(algebra, "annihilator", lambda f, n, maps: annihilated.append(maps) or real_annihilator(f, n, maps))
     for field in (QQ, G5):
-        L = direct_sum(l4_3(field), abelian(field, 2)).change_basis(random_invertible(field, 6, random.Random(3)))
+        L = direct_sum(l4_3(field), LieAlgebra(field, 2)).change_basis(random_invertible(field, 6, random.Random(3)))
         calls.clear()
         annihilated.clear()
         assert L.series().lower_central_dims() == (6, 2, 1, 0)
@@ -326,6 +326,16 @@ def test_quotient_requires_ideal():
         L.quotient(Subspace.span(QQ, 4, [unit(4, 0)]))  # <x1> is not an ideal
 
 
+def test_quotient_builds_one_quotient_map(monkeypatch):
+    L = heisenberg(QQ, 2, 1)  # H(2) + A(1), divided by its centre <x5, x6>
+    center = L.series().center  # the centre is a kernel, itself read off a quotient map
+    calls = []
+    real = Subspace.quotient_map
+    monkeypatch.setattr(Subspace, "quotient_map", lambda self: calls.append(self) or real(self))
+    q, _ = L.quotient(center)
+    assert (q.dim, len(calls)) == (4, 1)
+
+
 def test_quotient_class_never_grows():
     rng = random.Random(5)
     L = make_catalog(CatalogId(Family.L5_5, abelian=1), QQ)
@@ -338,10 +348,10 @@ def test_quotient_class_never_grows():
 
 
 def test_direct_sum_block_structure():
-    s = direct_sum(abelian(QQ, 2), abelian(QQ, 3))
+    s = direct_sum(LieAlgebra(QQ, 2), LieAlgebra(QQ, 3))
     assert s.dim == 5 and s.is_abelian
 
-    s = direct_sum(heisenberg(QQ, 1), abelian(QQ, 3))
+    s = direct_sum(heisenberg(QQ, 1), LieAlgebra(QQ, 3))
     rep = s.series()
     assert rep.derived_dim == 1
     assert rep.center.dim == 4  # n - 2 with n = 6
@@ -355,7 +365,7 @@ def test_direct_sum_block_structure():
 
 def test_direct_sum_field_mismatch():
     with pytest.raises(ValueError):
-        direct_sum(abelian(QQ, 1), abelian(G5, 1))
+        direct_sum(LieAlgebra(QQ, 1), LieAlgebra(G5, 1))
 
 
 def test_change_basis_preserves_everything():

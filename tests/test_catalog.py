@@ -2,7 +2,7 @@ import pytest
 
 from conftest import heisenberg
 
-from liemult.algebra import direct_sum, abelian
+from liemult.algebra import LieAlgebra, direct_sum
 from liemult.catalog import CONSTRUCTIBLE, CatalogId, Family, make_catalog
 from liemult.fields import gf, rationals
 
@@ -57,7 +57,7 @@ def test_abelian_summand():
 def test_heisenberg_plus_abelian_center():
     # H(1) + A(n-3) has a 1-dim derived subalgebra and an (n-2)-dim center
     for n in (4, 6, 9):
-        L = direct_sum(heisenberg(QQ, 1), abelian(QQ, n - 3))
+        L = direct_sum(heisenberg(QQ, 1), LieAlgebra(QQ, n - 3))
         rep = L.series()
         assert rep.derived_dim == 1
         assert rep.center.dim == n - 2

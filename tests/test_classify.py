@@ -4,7 +4,7 @@ import pytest
 
 from conftest import heisenberg, intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
 
-from liemult import LieAlgebra, abelian, direct_sum
+from liemult import LieAlgebra, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member, stem_decompose
 from liemult.formulas import functor_report
@@ -30,14 +30,14 @@ def _stem_block(L, decomposition):
 
 
 def test_stem_decompose_split_summand():
-    L = direct_sum(heisenberg(QQ, 1), abelian(QQ, 2))
+    L = direct_sum(heisenberg(QQ, 1), LieAlgebra(QQ, 2))
     d = stem_decompose(L)
     assert (d.stem_dim, d.abelian_dim) == (3, 2)
 
 
 def test_stem_decompose_after_basis_change():
     rng = random.Random(23)
-    L = direct_sum(heisenberg(QQ, 2), abelian(QQ, 1))
+    L = direct_sum(heisenberg(QQ, 2), LieAlgebra(QQ, 1))
     for _ in range(4):
         moved = L.change_basis(random_invertible(QQ, L.dim, rng))
         d = stem_decompose(moved)
@@ -52,7 +52,7 @@ def test_stem_decompose_stem_input():
 
 def test_stem_decompose_rejects_abelian():
     with pytest.raises(ValueError):
-        stem_decompose(abelian(QQ, 3))
+        stem_decompose(LieAlgebra(QQ, 3))
 
 
 def test_stem_center_is_center_cap_derived():
@@ -60,7 +60,7 @@ def test_stem_center_is_center_cap_derived():
 
     rng = random.Random(9)
     for base in (
-        direct_sum(heisenberg(QQ, 1), abelian(QQ, 3)),
+        direct_sum(heisenberg(QQ, 1), LieAlgebra(QQ, 3)),
         make_catalog(CatalogId(Family.L5_5, abelian=2), QQ),
         make_catalog(CatalogId(Family.L6_22, param=1, abelian=1), QQ),
         make_catalog(CatalogId(Family.L6_7_2, param=1, abelian=1), G2),
@@ -86,21 +86,21 @@ def test_stem_center_is_center_cap_derived():
 
 def test_heisenberg_rank_values():
     assert classify(heisenberg(QQ, 1)).rank == 1
-    L = direct_sum(heisenberg(QQ, 3), abelian(QQ, 4))
+    L = direct_sum(heisenberg(QQ, 3), LieAlgebra(QQ, 4))
     assert L.series().center.dim == 5
     assert classify(L).rank == 3
 
 
 def test_classify_abelian():
-    c = classify(abelian(QQ, 1))
+    c = classify(LieAlgebra(QQ, 1))
     assert c.family is Family.ABELIAN and not functor_report(c).capable
-    c = classify(abelian(QQ, 6))
+    c = classify(LieAlgebra(QQ, 6))
     assert c.family is Family.ABELIAN and functor_report(c).capable
     assert c.abelian == 6 and c.stem_dim == 0
 
 
 def test_classify_heisenberg_families():
-    c = classify(direct_sum(heisenberg(QQ, 1), abelian(QQ, 4)))
+    c = classify(direct_sum(heisenberg(QQ, 1), LieAlgebra(QQ, 4)))
     assert c.family is Family.HEISENBERG and c.rank == 1 and c.abelian == 4
     assert functor_report(c).capable
 
@@ -149,7 +149,7 @@ def test_classify_class3_big_stem():
     assert c.stem_dim == 6 and c.abelian == 0
     assert functor_report(c).capable is False
 
-    c = classify(direct_sum(stem6_class3(QQ), abelian(QQ, 2)))
+    c = classify(direct_sum(stem6_class3(QQ), LieAlgebra(QQ, 2)))
     assert c.family is Family.STEM_CLASS3_DIM2 and c.abelian == 2
 
 
@@ -178,10 +178,10 @@ def test_has_rank2_member():
     for field in (QQ, G2, G3):
         zoo = rank2_stem_zoo(field) + [("L1", make_catalog(CatalogId(Family.L1), field))]
         for name, L in zoo:
-            moved = direct_sum(L, abelian(field, 1))
+            moved = direct_sum(L, LieAlgebra(field, 1))
             moved = moved.change_basis(random_invertible(field, moved.dim, rng))
             assert has_rank2_member(L) == has_rank2_member(moved) == expected.get(name, False)
-    for L in (heisenberg(QQ, 2), stem6_class3(QQ), abelian(QQ, 3)):
+    for L in (heisenberg(QQ, 2), stem6_class3(QQ), LieAlgebra(QQ, 3)):
         with pytest.raises(ValueError):
             has_rank2_member(L)
 

@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (fifth_scaled_l58, jacobi_breaker, non_nilpotent, out_of_scope_algebra,
-                      stem7_rank2, wrong_stem_multiplier)
+from conftest import (fifth_scaled_l58, heisenberg, jacobi_breaker, non_nilpotent,
+                      out_of_scope_algebra, stem7_rank2, wrong_stem_multiplier)
 
 import liemult
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.cli import entrypoint, main
+from liemult.cli import build_parser, entrypoint, main
 from liemult.document import dumps_algebra, loads_algebra
 from liemult.fields import gf, rationals
+from liemult.verify import builtin_suite
 
 QQ = rationals()
 ZERO_DENOMINATOR_DOC = json.dumps(
@@ -368,11 +369,40 @@ def test_check_builtin_suite(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "per-rule pass counts" in out
-    # the builtin suite is the golden table plus grids: >= 30 algebras
-    total_line = [l for l in out.splitlines() if l.startswith("total:")][0]
+    # one row per suite entry, sorted by name
+    lines = out.splitlines()
+    names = [l.split()[0] for l in lines[:lines.index("")]]
+    assert names == sorted(names) and len(names) == len(builtin_suite())
+    # the builtin suite is the golden table plus grids: >= 30 algebras, >= 150 quantity checks
+    total_line = [l for l in lines if l.startswith("total:")][0]
     count = int(total_line.split("/")[1].split()[0])
-    assert count >= 30
+    assert count >= 30 and int(total_line.split(", ")[1].split()[0]) >= 150
     assert "MISMATCH" not in out
+
+
+H1_A1_PRETTY = """\
+input    : dim 4 over GF(5)  (digest e86ef01123d2)
+series   : class 2, lower central dims [4, 1, 0], center dim 2
+class    : H(1) + A(1)
+formulas : rule heisenberg-rank1  multiplier 4  exterior 5  tensor 11  corank 2  capable True
+oracle   : multiplier 4  exterior 5  tensor 11  capable True (epicenter dim 0, GF(5))
+  check  : schur     formula 4  oracle 4  pass
+  check  : exterior  formula 5  oracle 5  pass
+  check  : tensor    formula 11  oracle 11  pass
+  check  : corank    formula 2  oracle 2  pass
+  check  : capable   formula True  oracle True  pass
+verdict  : ok
+"""
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys):
+    path = write_doc(tmp_path, "h1a1.json", heisenberg(gf(5), 1, 1))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: dim 4 over GF(5), 4 Jacobi triples checked\n"
+    # a second subcommand on the same parser prints what a fresh process prints
+    assert main(["report", str(path), "--oracle", "--pretty"]) == 0
+    assert capsys.readouterr().out == H1_A1_PRETTY
+    assert build_parser() is build_parser()
 
 
 def test_module_entry_point():

@@ -16,7 +16,7 @@ from conftest import (
     sweep_epicenter,
 )
 
-from liemult import LieAlgebra, abelian, cohomology, direct_sum
+from liemult import LieAlgebra, cohomology, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import has_rank2_member
 from liemult.cohomology import (
@@ -95,7 +95,7 @@ def test_integrity_check_rejects_jacobi_violation():
 
 def test_multiplier_abelian():
     for n in range(0, 8):
-        assert schur_dim_oracle(abelian(QQ, n)) == n * (n - 1) // 2
+        assert schur_dim_oracle(LieAlgebra(QQ, n)) == n * (n - 1) // 2
 
 
 def test_multiplier_heisenberg():
@@ -163,7 +163,7 @@ def test_exterior_tensor_named_stems():
 
 
 def test_exterior_tensor_abelian():
-    r = oracle_report(abelian(QQ, 3))
+    r = oracle_report(LieAlgebra(QQ, 3))
     assert r.exterior == 3
     assert r.tensor == 9
 
@@ -205,7 +205,7 @@ def test_epicenter_class3_stem_is_center():
 
 
 def test_epicenter_contained_in_center():
-    for L in (heisenberg(G5, 2), stem6_class3(G5), direct_sum(heisenberg(G5, 1), abelian(G5, 2))):
+    for L in (heisenberg(G5, 2), stem6_class3(G5), direct_sum(heisenberg(G5, 1), LieAlgebra(G5, 2))):
         assert L.series().center.contains_subspace(epicenter(L))
 
 
@@ -217,7 +217,7 @@ def test_epicenter_ignores_abelian_summands():
         lambda f: stem6_class3(f),
     ):
         T = make(G5)
-        padded = direct_sum(T, abelian(G5, 2))
+        padded = direct_sum(T, LieAlgebra(G5, 2))
         assert epicenter(padded).dim == epicenter(T).dim
 
 
@@ -267,9 +267,9 @@ def test_epicenter_matches_line_sweep():
 
 
 def test_capability_abelian():
-    assert epicenter(abelian(G5, 1)).dim != 0
-    assert epicenter(abelian(G5, 2)).dim == 0
-    assert epicenter(abelian(G5, 3)).dim == 0
+    assert epicenter(LieAlgebra(G5, 1)).dim != 0
+    assert epicenter(LieAlgebra(G5, 2)).dim == 0
+    assert epicenter(LieAlgebra(G5, 3)).dim == 0
 
 
 def test_noncapable_rank2_admissible_values():

@@ -94,3 +94,20 @@ def test_exact_addition_is_order_independent():
     left = sum(terms[1:], terms[0])
     right = sum(reversed(terms[:-1]), terms[-1])
     assert left == right
+
+
+def test_integer_codec():
+    q, g = rationals(), gf(7)
+    row = [q.parse(t) for t in ("0", "-3/4", "5/6", "2")]
+    assert q.encode(row) == ([0, -9, 10, 24], 12)
+    assert q.decode(*q.encode(row)) == row
+    assert [q.ratio(x) for x in row] == [(0, 1), (-3, 4), (5, 6), (2, 1)]
+    assert q.encode([]) == ([], 1)
+    res = [g.of(x) for x in (0, 3, 6)]
+    assert g.encode(res) == ([0, 3, 6], 1) and g.ratio(res[1]) == (3, 1)
+    assert g.decode(*g.encode(res)) == res
+    # any integers over a unit: a rational row reduces mod 7 through the codec
+    assert g.decode(*q.encode(row)) == [g.zero, g.of(-3) / g.of(4), g.of(5) / g.of(6), g.of(2)]
+    assert g.decode([14, 3], 3) == [g.zero, g.one]
+    with pytest.raises(ValueError):
+        g.decode([1], 7)  # 7 is no unit mod 7

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import heisenberg, stem6_class3
 
-from liemult import abelian, direct_sum
+from liemult import LieAlgebra, direct_sum
 from liemult.catalog import STEMS, CatalogId, Family, make_catalog
 from liemult.classify import classify
 from liemult.cohomology import schur_dim_oracle
@@ -115,7 +115,7 @@ def test_corank_closed_forms():
             assert fr.schur == paper(c.n), (cid, k)
             assert fr.corank == c.n * (c.n - 1) // 2 - paper(c.n)
         for build, family, paper in PAPER_VERDICTS:
-            c = classify(direct_sum(build(QQ), abelian(QQ, k)))
+            c = classify(direct_sum(build(QQ), LieAlgebra(QQ, k)))
             assert (c.family, c.abelian) == (family, k)
             assert functor_report(c).schur == paper(c.n), (family, k)
         assert fr_of(CatalogId(Family.HEISENBERG, rank=1, abelian=k)).corank == (3 + k) - 2
@@ -216,4 +216,4 @@ def test_capability_table():
     assert not fr_of(CatalogId(Family.HEISENBERG, rank=3, abelian=2)).capable
     assert fr_of(CatalogId(Family.L6_22, param=1, abelian=1)).capable
     assert fr_of(CatalogId(Family.L6_7_2, param=0), G2).capable
-    assert not functor_report(classify(direct_sum(stem6_class3(QQ), abelian(QQ, 1)))).capable
+    assert not functor_report(classify(direct_sum(stem6_class3(QQ), LieAlgebra(QQ, 1)))).capable

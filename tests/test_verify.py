@@ -1,10 +1,11 @@
 import random
-from collections import Counter
-from itertools import combinations, product
 
 import pytest
 
 from conftest import (
+    box_verdicts,
+    class2_pencils,
+    class3_normal_forms,
     fifth_scaled_l58,
     non_nilpotent,
     out_of_scope_algebra,
@@ -14,12 +15,12 @@ from conftest import (
     wrong_stem_multiplier,
 )
 
-from liemult import LieAlgebra, abelian, direct_sum
+from liemult import LieAlgebra, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import has_rank2_member
 from liemult.fields import gf, rationals
 from liemult.linalg import random_invertible
-from liemult.verify import builtin_suite, cross_check, run_suite
+from liemult.verify import builtin_suite, cross_check
 
 QQ = rationals()
 G5 = gf(5)
@@ -74,7 +75,7 @@ def test_cross_check_passes_on_random_pencils():
     for field in (gf(2), gf(3), G5, QQ):
         for case in range(40):
             s = rng.randint(7, 10) if case < 10 else rng.randint(5, 6)
-            L = direct_sum(random_rank2_stem(field, s, rng), abelian(field, rng.randint(0, 2)))
+            L = direct_sum(random_rank2_stem(field, s, rng), LieAlgebra(field, rng.randint(0, 2)))
             L = L.change_basis(random_invertible(field, L.dim, rng))
             r = cross_check(L, f"pencil{s}")
             assert r.ok, (field, case, [c for c in r.checks if not c.ok])
@@ -98,7 +99,7 @@ def test_cross_check_passes_on_random_class3():
     stems = set()
     for field in (gf(2), gf(3), G5, QQ):
         for case in range(30):
-            L = direct_sum(random_class3(field, rng.randint(2, 5), rng), abelian(field, rng.randint(0, 2)))
+            L = direct_sum(random_class3(field, rng.randint(2, 5), rng), LieAlgebra(field, rng.randint(0, 2)))
             L = L.change_basis(random_invertible(field, L.dim, rng))
             r = cross_check(L, f"class3-{case}")
             assert r.ok, (field, case, [c for c in r.checks if not c.ok])
@@ -122,19 +123,50 @@ def test_cross_check_exhaustive_class2_dim6(p, expected):
     cover every such algebra, most of them many times.  Each one is
     cross-checked, capability included, and the verdicts are pinned.
     """
+    assert box_verdicts(class2_pencils(gf(p), 6)) == expected
+
+
+@pytest.mark.parametrize("p, gens, expected", [
+    (2, (2, 3, 4, 5), {
+        "L4_3": 2, "L4_3 + A(1)": 4, "L4_3 + A(2)": 8, "L4_3 + A(3)": 16,
+        "L5_5": 4, "L5_5 + A(1)": 24, "L5_5 + A(2)": 112,
+        "stem_class3_dim2[dim 6]": 32, "stem_class3_dim2[dim 6] + A(1)": 448,
+        "stem_class3_dim2[dim 7]": 448,
+    }),
+    (3, (2, 3, 4), {
+        "L4_3": 3, "L4_3 + A(1)": 9, "L4_3 + A(2)": 27,
+        "L5_5": 18, "L5_5 + A(1)": 216, "stem_class3_dim2[dim 6]": 486,
+    }),
+])
+def test_cross_check_exhaustive_class3(p, gens, expected):
+    """Every class-3 algebra with dim L^2 = 2 on g generators over GF(p), up to a change of basis.
+
+    L^3 is a line <z> in L^2 = <y, z>, and class 3 puts L^3 in the centre, so
+    [x, y] = phi(x) z for a linear form phi that vanishes on L^2, and phi is
+    not zero, as L^3 = [L, L^2] is spanned by [L, y].  Take x1 with
+    phi(x1) = 1 and the other generators x2, ..., xg in ker phi, so [x1, y] = z
+    and [xi, y] = 0 for i >= 2.  Jacobi on (x1, xi, xj), i, j >= 2, reads
+    [[xi, xj], x1] = 0 once [xi, y] = [xj, y] = 0 and z is central, so the
+    y-part of [xi, xj] is zero.  The y-part of [x1, xi], i >= 2, is a linear
+    form psi on ker phi.  It is not zero: y lies in L^2 = [L, L], and no
+    other bracket of basis vectors has a y-part.  A basis change inside
+    ker phi makes psi 1 at x2 and 0 at x3, ..., xg.  So L is
+    [x1, x2] = y, [x1, y] = z plus a 2-form w from the generators into z,
+    and these p^C(g,2) tables, over g = dim L/L^2, cover every such algebra
+    (the shape of `random_class3`).  Each one is cross-checked, capability
+    included, and the verdicts are pinned: 1,098 algebras over GF(2), 759
+    over GF(3).
+    """
     field = gf(p)
-    pairs = list(combinations(range(4), 2))
-    verdicts = Counter()
-    for b1 in ({(0, 1)}, {(0, 1), (2, 3)}):
-        for b2 in product(range(p), repeat=len(pairs)):
-            table = {pair: [0, 0, 0, 0, int(pair in b1), c] for pair, c in zip(pairs, b2)}
-            L = LieAlgebra(field, 6, table)
-            if L.series().derived_dim != 2:
-                continue
-            r = cross_check(L, f"pencil{b2}")
-            assert r.ok and len(r.checks) == 5, (b1, b2, [c for c in r.checks if not c.ok])
-            verdicts[r.classification.describe()] += 1
-    assert verdicts == expected
+    assert box_verdicts(L for g in gens for L in class3_normal_forms(field, g)) == expected
+
+
+def test_run_suite_sorted_and_green():
+    # cross-check the builtin suite the way `liemult check` does: one report per entry, in name order
+    reports = sorted((cross_check(alg, name, cap) for name, alg, cap in builtin_suite()), key=lambda r: r.name)
+    assert [r.name for r in reports] == sorted(name for name, _, _ in builtin_suite())
+    assert all(r.ok for r in reports)
+    assert sum(len(r.checks) for r in reports) >= 150
 
 
 def test_cross_check_out_of_scope_has_no_checks():
@@ -156,11 +188,3 @@ def test_builtin_suite_composition():
         assert required in names
     # every rational entry, A(5) and A(6) included, gets the capability check mod 5
     assert all(prime == 5 for _, alg, prime in entries if not alg.field.is_prime_field)
-
-
-def test_run_suite_sorted_and_green():
-    entries = builtin_suite()
-    reports = run_suite(entries)
-    assert [r.name for r in reports] == sorted(r.name for r in reports)
-    assert all(r.ok for r in reports)
-    assert sum(len(r.checks) for r in reports) >= 150
