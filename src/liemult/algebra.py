@@ -61,8 +61,6 @@ class LieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
-            if (i, j) in table:
-                raise ValueError(f"duplicate bracket pair ({i}, {j})")
             vec = tuple(field.of(x) for x in coeffs)
             if len(vec) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(vec)} coefficients, need {dim}")
@@ -113,6 +111,7 @@ class LieAlgebra:
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the table to coordinate vectors: u @ ad(v)."""
+        u = [self.field.of(x) for x in u]
         return (Matrix(self.field, [u], cols=self.dim) @ self.ad(v)).data[0]
 
     @property

@@ -31,8 +31,8 @@ from .document import (
 )
 from .fields import FieldSpec, rationals
 from .linalg import random_invertible
-from .report import DEFAULT_SWEEP_PRIME, build_report
-from .verify import builtin_suite, cross_check
+from .report import build_report
+from .verify import DEFAULT_REDUCTION_PRIME, builtin_suite, cross_check
 
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "prime", None) is not None:
@@ -187,7 +187,6 @@ def _print_pretty_report(report: dict, field: FieldSpec):
 
 
 def cmd_check(args) -> int:
-    prime = args.prime or DEFAULT_SWEEP_PRIME
     had_parse_error = had_invalid = False
     results = []
     skipped = []
@@ -211,9 +210,9 @@ def cmd_check(args) -> int:
             if not algebra.series().is_nilpotent:
                 skipped.append((path.name, "not nilpotent"))
                 continue
-            results.append(cross_check(algebra, path.name, capability_prime=prime))
+            results.append(cross_check(algebra, path.name, capability_prime=args.prime))
     else:
-        results = sorted((cross_check(a, name, cap) for name, a, cap in builtin_suite(prime)), key=lambda r: r.name)
+        results = sorted((cross_check(a, name, cap) for name, a, cap in builtin_suite(args.prime)), key=lambda r: r.name)
 
     rule_pass: dict[str, list[int]] = {}
     failed = 0
@@ -279,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--prime",
         type=int,
-        default=None,
-        help=f"reduction prime for the capability check of rational inputs (default {DEFAULT_SWEEP_PRIME})",
+        default=DEFAULT_REDUCTION_PRIME,
+        help=f"reduction prime for the capability check of rational inputs (default {DEFAULT_REDUCTION_PRIME})",
     )
     p_rep.add_argument("--seed", type=int, default=0, help="seed for --randomize-basis")
     p_rep.add_argument(
@@ -296,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument(
         "--prime",
         type=int,
-        default=None,
-        help=f"field of the suite's GF(p) entries and reduction prime for rational inputs (default {DEFAULT_SWEEP_PRIME})",
+        default=DEFAULT_REDUCTION_PRIME,
+        help=f"field of the suite's GF(p) entries and reduction prime for rational inputs (default {DEFAULT_REDUCTION_PRIME})",
     )
     p_chk.set_defaults(func=cmd_check)
     return parser

@@ -6,6 +6,10 @@ stored canonically in ``[0, p)``.  Both support ``+ - * /``, unary ``-``,
 and truthiness as the zero test, so all linear algebra in this package is
 written once, field-agnostically.
 
+:meth:`FieldSpec.parse` (documents) and :meth:`FieldSpec.of` (tables, vectors,
+parameters, basis changes) run only where values enter the package; a
+:class:`~liemult.linalg.Matrix` stores its entries as given.
+
 Code that computes on Python ints goes through the integer codec,
 :meth:`FieldSpec.encode`, :meth:`FieldSpec.ratio` and :meth:`FieldSpec.decode`,
 so no other module knows what a scalar is made of.

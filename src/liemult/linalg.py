@@ -6,7 +6,10 @@ Conventions used throughout the package:
 * ``kernel(m)`` is the right null space ``{x : m @ x^T = 0}``, returned
   with solution vectors as rows;
 * a :class:`Subspace` stores its basis in reduced row echelon form, which
-  makes the representation canonical (equal subspaces compare equal).
+  makes the representation canonical (equal subspaces compare equal);
+* a :class:`Matrix` stores scalars of its field as given and checks only its
+  shape: values are coerced where they enter the package, so ``FieldSpec.of``
+  runs here only in :func:`random_invertible`.
 
 Everything is exact.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
@@ -30,28 +33,23 @@ from typing import Callable, Iterable, Sequence
 from .fields import FieldSpec
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
-    """Immutable dense matrix over one FieldSpec."""
+    """Immutable dense matrix of scalars of one FieldSpec, stored as given; only the shape is checked."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    field: FieldSpec
+    data: Iterable[Iterable]
+    cols: int | None = None
 
-    def __init__(self, field: FieldSpec, data: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(tuple(field.of(x) for x in row) for row in data)
-        if grid:
-            width = len(grid[0])
-            if any(len(r) != width for r in grid):
-                raise ValueError("ragged matrix rows")
-            if cols is not None and cols != width:
-                raise ValueError(f"expected {cols} columns, got {width}")
-        else:
-            width = 0 if cols is None else cols
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
+    def __post_init__(self):
+        grid = tuple(map(tuple, self.data))
+        width = len(grid[0]) if grid else self.cols or 0
+        if any(len(r) != width for r in grid):
+            raise ValueError("ragged matrix rows")
+        if self.cols is not None and self.cols != width:
+            raise ValueError(f"expected {self.cols} columns, got {width}")
         object.__setattr__(self, "data", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        object.__setattr__(self, "cols", width)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -79,22 +77,15 @@ class Matrix:
         return Matrix(self.field, out, cols=other.cols)
 
     @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.shape, self.data))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

@@ -16,9 +16,7 @@ from .classify import classify
 from .cohomology import OracleReport
 from .document import field_to_json
 from .formulas import functor_report
-from .verify import cross_check
-
-DEFAULT_SWEEP_PRIME = 5
+from .verify import DEFAULT_REDUCTION_PRIME, cross_check
 
 
 def _oracle_json(oracle: OracleReport) -> dict:
@@ -32,7 +30,7 @@ def build_report(
     L: LieAlgebra,
     digest: str,
     want_oracle: bool = False,
-    sweep_prime: int | None = None,
+    sweep_prime: int = DEFAULT_REDUCTION_PRIME,
     randomized_seed: int | None = None,
 ) -> dict:
     """Assemble the full report dict; report["ok"] is False on any mismatch."""
@@ -61,7 +59,7 @@ def build_report(
         return report
 
     if want_oracle:
-        checked = cross_check(L, capability_prime=sweep_prime or DEFAULT_SWEEP_PRIME)
+        checked = cross_check(L, capability_prime=sweep_prime)
         c, fr = checked.classification, checked.functors
     else:
         c = classify(L)

@@ -7,8 +7,8 @@ per-quantity verdict that `report --oracle` renders; the brute-force side is
 so a check is `==`.
 Capability is compared directly for prime-field algebras, and on the mod-p
 reduction of a rational table when a reduction prime is supplied and every
-denominator is a unit mod p (default 5 in the suite, the smallest odd prime
-clear of the characteristic-2 special cases).
+denominator is a unit mod p (by default `DEFAULT_REDUCTION_PRIME`, 5, the
+smallest odd prime clear of the characteristic-2 special cases).
 
 `builtin_suite` assembles the golden instances: the six named stems over
 their stated fields, Heisenberg and abelian grids, and abelian-summand
@@ -76,10 +76,12 @@ def cross_check(
     return CrossCheckReport(name, c, fr, oracle, checks, all(ch.ok for ch in checks))
 
 
+DEFAULT_REDUCTION_PRIME = 5
+
 SuiteEntry = tuple[str, LieAlgebra, "int | None"]
 
 
-def builtin_suite(prime: int = 5) -> list[SuiteEntry]:
+def builtin_suite(prime: int = DEFAULT_REDUCTION_PRIME) -> list[SuiteEntry]:
     """Golden instances: (name, algebra, reduction prime for rational entries)."""
     qq = rationals()
     gp = gf(prime)

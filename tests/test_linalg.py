@@ -18,7 +18,12 @@ G5 = gf(5)
 # -- strategies ---------------------------------------------------------------
 
 rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-residue_entries = st.integers(min_value=0, max_value=4)
+residue_entries = st.integers(min_value=0, max_value=4).map(G5.of)
+
+
+def scalars(field, rows):
+    """The rows with each entry coerced into field, as a Matrix requires."""
+    return [[field.of(x) for x in row] for row in rows]
 
 
 def matrices(entries, field):
@@ -253,9 +258,9 @@ def test_prime_rref_matches_reference():
             cases.append(([[x.val for x in row] for row in d2.data], d2.cols))
         for rows, cols in cases:
             grid, pivots = rref_mod_p(rows, cols, p)
-            r = rref(Matrix(field, rows, cols=cols))
+            r = rref(Matrix(field, scalars(field, rows), cols=cols))
             assert r.pivots == tuple(pivots)
-            assert r.basis == Matrix(field, grid[: len(pivots)], cols=cols)
+            assert r.basis == Matrix(field, scalars(field, grid[: len(pivots)]), cols=cols)
             assert not any(any(row) for row in grid[len(pivots):])
             assert all(type(x) is Fp for row in r.basis.data for x in row)
 
@@ -301,9 +306,9 @@ def test_rref_rational_matches_fraction_reference():
     cases += [Matrix(QQ, [], cols=k) for k in range(4)]  # 0 x k
     cases += [Matrix(QQ, [[]] * k, cols=0) for k in range(1, 4)]  # k x 0
     cases += [
-        Matrix(QQ, [[-2, 4, 1], [0, -3, 5], [-4, 8, 2]]),  # negative pivots, a duplicate up to scale
-        Matrix(QQ, [[0, 0], [0, -7], [0, 0]]),
-        Matrix(QQ, [[Fraction(-10**12, 999983), 1], [1, Fraction(1, 10**6)]]),
+        Matrix(QQ, scalars(QQ, [[-2, 4, 1], [0, -3, 5], [-4, 8, 2]])),  # negative pivots, a duplicate up to scale
+        Matrix(QQ, scalars(QQ, [[0, 0], [0, -7], [0, 0]])),
+        Matrix(QQ, scalars(QQ, [[Fraction(-10**12, 999983), 1], [1, Fraction(1, 10**6)]])),
     ]
     for base in (
         heisenberg(QQ, 5),
