@@ -11,15 +11,16 @@ complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
 that :func:`~liemult.cohomology.cochain_complex` requires before it
 builds d2.
 
-Brackets of coordinate vectors come from :meth:`LieAlgebra.ad`, the n x n
-matrix of x ↦ [x, v] built in one pass over the table: ``bracket(u, v)``
-is ``u @ ad(v)`` and ``change_basis`` takes the new brackets from n products
-``P @ ad(p_j)``.  Brackets of basis vectors are read off the table directly,
-with no multiply-add: ``series`` reads the n maps ``ad(x_j)`` off it
-(row i is :meth:`LieAlgebra.structure_vector` (i, j)), L^{k+1} spans
-``L^k.basis @ ad(x_j)`` and Z(L) is their :func:`annihilator`; L^2 is the
-span of the table's own vectors, the rows of d1 up to sign; and the d2 rows
-in :mod:`liemult.cohomology` are assembled from the table's entries.
+Brackets are read off one n x n² matrix built with the algebra: row j of
+this adjoint matrix is ad(x_j) written row by row, so its block i is
+[x_i, x_j].  :meth:`LieAlgebra.structure_vector` (i, j) is block i of row j,
+and ad(v) for any set of vectors v is one product of their rows with the
+matrix: ``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1}
+spans the rows of ad(u) over a basis of L^k, ``change_basis`` takes all n
+ad(p_j) from one product, and Z(L) is the :func:`annihilator` of the
+matrix.  Two computations read brackets off the table itself: L^2 is the
+span of its vectors, the rows of d1 up to sign, and the d2 rows in
+:mod:`liemult.cohomology` are assembled from its entries.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -46,7 +47,7 @@ class JacobiViolation(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("field", "dim", "table", "labels", "_series", "_violations")
+    __slots__ = ("field", "dim", "table", "labels", "_adjoint", "_series", "_violations")
 
     def __init__(
         self,
@@ -76,6 +77,12 @@ class LieAlgebra:
         object.__setattr__(self, "labels", labels or tuple(f"x{i+1}" for i in range(dim)))
         object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_violations", None)
+        # row j is ad(x_j) read row by row: its block i is [x_i, x_j]
+        adjoint = [[field.zero] * (dim * dim) for _ in range(dim)]
+        for (i, j), vec in table.items():
+            adjoint[j][i * dim:(i + 1) * dim] = vec
+            adjoint[i][j * dim:(j + 1) * dim] = [-x for x in vec]
+        object.__setattr__(self, "_adjoint", Matrix(field, adjoint, cols=dim * dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -83,31 +90,24 @@ class LieAlgebra:
     # -- basic bracket machinery -------------------------------------------
 
     def structure_vector(self, i: int, j: int) -> tuple:
-        """[x_i, x_j] for any i, j, with antisymmetry applied."""
-        if i == j:
-            return (self.field.zero,) * self.dim
-        if i < j:
-            vec = self.table.get((i, j))
-            if vec is None:
-                return (self.field.zero,) * self.dim
-            return vec
-        vec = self.table.get((j, i))
-        if vec is None:
-            return (self.field.zero,) * self.dim
-        return tuple(-x for x in vec)
+        """[x_i, x_j] for any i, j: block i of row j of the adjoint matrix."""
+        n = self.dim
+        return self._adjoint.data[j][i * n:(i + 1) * n]
+
+    def _ads(self, vectors: Matrix) -> list[Matrix]:
+        """ad(v) for each row v of vectors, from one product with the adjoint matrix."""
+        n = self.dim
+        return [
+            Matrix(self.field, [row[i * n:(i + 1) * n] for i in range(n)], cols=n)
+            for row in (vectors @ self._adjoint).data
+        ]
 
     def ad(self, v: Sequence) -> Matrix:
         """The n x n matrix of x ↦ [x, v]: row i is [x_i, v]."""
         n = self.dim
         if len(v) != n:
             raise ValueError(f"vector has {len(v)} coordinates, need {n}")
-        v = [self.field.of(x) for x in v]
-        rows = [[self.field.zero] * n for _ in range(n)]
-        for (i, j), vec in self.table.items():
-            for r, c in ((i, v[j]), (j, -v[i])):
-                if c:
-                    rows[r] = [a + c * b for a, b in zip(rows[r], vec)]
-        return Matrix(self.field, rows, cols=n)
+        return self._ads(Matrix(self.field, [[self.field.of(x) for x in v]], cols=n))[0]
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the table to coordinate vectors: u @ ad(v)."""
@@ -132,7 +132,7 @@ class LieAlgebra:
         """Span of [a, b] over basis vectors a of u, b of v."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("subspace ambient dimension must match the algebra")
-        vecs = [r for b in v.basis.data for r in (u.basis @ self.ad(b)).data]
+        vecs = [r for m in self._ads(v.basis) for r in (u.basis @ m).data]
         return Subspace.span(self.field, self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:
@@ -146,16 +146,14 @@ class LieAlgebra:
         """
         if self._series is not None:
             return self._series
-        n = self.dim
-        # ad(x_j), read off the table: row i is [x_i, x_j]
-        maps = [Matrix(self.field, [self.structure_vector(i, j) for i in range(n)], cols=n) for j in range(n)]
         lower = [Subspace.full(self.field, self.dim)]
         nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
                 break
-            nxt = Subspace.span(self.field, self.dim, [r for m in maps for r in (nxt.basis @ m).data])
+            # [L, L^k] is spanned by the rows of ad(u) over a basis of L^k
+            nxt = Subspace.span(self.field, self.dim, [r for m in self._ads(nxt.basis) for r in m.data])
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
@@ -164,7 +162,7 @@ class LieAlgebra:
             if nxt.dim == derived[-1].dim:
                 break
             derived.append(nxt)
-        center = annihilator(self.field, self.dim, [m.data for m in maps])
+        center = annihilator(self._adjoint)  # x with ad(x) = 0
         series = SeriesReport(tuple(lower), tuple(derived), center, cls)
         object.__setattr__(self, "_series", series)
         return series
@@ -183,7 +181,7 @@ class LieAlgebra:
         keep = [j for j in range(self.dim) if j not in ideal.pivots]
         q = len(keep)
         proj = Matrix(self.field, ideal.quotient_map(), cols=q)
-        if not (self.bracket_span(Subspace.full(self.field, self.dim), ideal).basis @ proj).is_zero():
+        if any(not (m @ proj).is_zero() for m in self._ads(ideal.basis)):
             raise ValueError("subspace is not an ideal")  # [L, I] has a nonzero image in L/I
         pairs = [(a, b) for b in range(q) for a in range(b)]
         brackets = Matrix(self.field, [self.structure_vector(keep[a], keep[b]) for a, b in pairs], cols=self.dim)
@@ -200,9 +198,8 @@ class LieAlgebra:
         pinv = invert(p)  # raises on singular input
         n = self.dim
         pairs = [(i, j) for j in range(n) for i in range(j)]
-        old = []  # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
-        for j in range(n):
-            old.extend((Matrix(self.field, p.data[:j], cols=n) @ self.ad(p.data[j])).data)
+        # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
+        old = [r for j, m in enumerate(self._ads(p)) for r in (Matrix(self.field, p.data[:j], cols=n) @ m).data]
         new = Matrix(self.field, old, cols=n) @ pinv
         return LieAlgebra(self.field, n, dict(zip(pairs, new.data)))
 

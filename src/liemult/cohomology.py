@@ -33,10 +33,11 @@ is L∧L = Λ²L / rowspace(d2) (Ellis), of dimension q = C(n,2) - rank(d2).
 The epicenter Z*(L) equals the exterior centre
 Z^∧(L) = {x : x∧y = 0 in L∧L for all y} (Niroomand, Parvizi and Russo,
 J. Algebra 2013).  It is the :func:`~liemult.linalg.annihilator` of the
-n maps x ↦ x∧x_j into the q coordinates of L∧L, read off the RREF of d2:
-the construction that gives Z(L) from the maps ad(x_j), and a polynomial
-computation over any field.  The result is checked to lie in Z(L), which
-it must when d2 is the complex of a Lie algebra.
+n x nq pairing matrix whose row j is x ↦ x∧x_j, in the q coordinates of
+L∧L read off the RREF of d2: the construction that gives Z(L) from the
+adjoint matrix, and a polynomial computation over any field.  The result
+is checked to lie in Z(L), which it must when d2 is the complex of a Lie
+algebra.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
 
     L∧L = Λ²L / rowspace(d2), so x_i∧x_j has the coordinates of row (i, j)
     of `rowspace.quotient_map()`.  The result is the annihilator of the
-    n maps x ↦ x∧x_j, the same construction as Z(L) for the bracket.
+    pairing matrix whose row j is x ↦ x∧x_j, laid out as the adjoint matrix
+    that gives Z(L) for the bracket.
     """
     series = L.series()
     if not series.is_nilpotent:
@@ -149,8 +151,9 @@ def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
     wedge = dict(zip(pair_basis(n), rowspace.quotient_map()))  # x_i∧x_j for i < j
     wedge.update({(j, i): [-v for v in w] for (i, j), w in wedge.items()})
     zeros = [field.zero] * (rowspace.ambient - rowspace.dim)
-    maps = [[wedge.get((i, j), zeros) for i in range(n)] for j in range(n)]
-    centre = annihilator(field, n, maps)
+    # block i of row j is x_i∧x_j
+    pairing = [[c for i in range(n) for c in wedge.get((i, j), zeros)] for j in range(n)]
+    centre = annihilator(Matrix(field, pairing, cols=n * len(zeros)))
     if not series.center.contains_subspace(centre):
         raise ComplexIntegrityError("exterior centre is not central: the rows of d2 are not im ∂₃")
     return centre

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .fields import FieldSpec
 
@@ -163,13 +163,9 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.span(m.field, m.cols, zip(*rref(m).quotient_map()))
 
 
-def annihilator(field: FieldSpec, n: int, maps: Iterable[Sequence[Sequence]]) -> "Subspace":
-    """{x in F^n : x @ m = 0 for every m in maps}, each map given by its n rows.
-
-    The equations are the nonzero columns of the maps, so this is one kernel.
-    """
-    eqs = [col for m in maps for col in zip(*m) if any(col)]
-    return kernel(Matrix(field, eqs, cols=n))
+def annihilator(m: Matrix) -> "Subspace":
+    """{x : x @ m = 0}: the kernel of m's nonzero columns."""
+    return kernel(Matrix(m.field, [col for col in zip(*m.data) if any(col)], cols=m.rows))
 
 
 def invert(m: Matrix) -> Matrix:

@@ -14,8 +14,9 @@ reference for `Subspace.quotient_map` and `Subspace.contains_subspace`.
 `heisenberg` builds H(m) + A(k) through `make_catalog`.  `wrong_stem_multiplier` plants an error in the closed forms for the
 tests that check a mismatch is caught.  `bracket_by_table`,
 `center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
-read the table pair by pair, as `LieAlgebra` did before it derived the
-brackets of coordinate vectors from `ad`; no reference calls the code it checks.  `subspace_sum` and
+read the table pair by pair, as `LieAlgebra` did before it read every
+bracket off its adjoint matrix; no reference calls the code it checks.
+`scalars` coerces literal rows into a field, as a `Matrix` requires.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
 `random_class3` class-3 algebras with dim L^2 = 2;
@@ -43,6 +44,11 @@ from liemult.verify import cross_check
 
 def unit(n: int, k: int):
     return tuple(1 if i == k else 0 for i in range(n))
+
+
+def scalars(field, rows):
+    """The rows with each entry coerced into field, as a Matrix requires."""
+    return [[field.of(x) for x in row] for row in rows]
 
 
 def heisenberg(field: FieldSpec, m: int, extra_abelian: int = 0) -> LieAlgebra:

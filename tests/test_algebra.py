@@ -13,6 +13,7 @@ from conftest import (
     jacobi_residuals_by_brackets,
     non_nilpotent,
     rank2_stem_zoo,
+    scalars,
     series_by_brackets,
     unit,
 )
@@ -159,8 +160,9 @@ def sl2(field):
 
 
 def test_ad_matches_table_references():
-    # bracket, center, both series chains and change_basis, all derived from
-    # ad, against the pair-by-pair readings of the table in conftest
+    # structure_vector, bracket, bracket_span, center, both series chains and
+    # change_basis, all read off the adjoint matrix, against the pair-by-pair
+    # readings of the table in conftest
     rng = random.Random(20261019)
     kinds = {"non-nilpotent": 0, "perfect": 0, "invalid": 0}
     for field in (QQ, gf(2), gf(3), G5):
@@ -174,6 +176,14 @@ def test_ad_matches_table_references():
             for u in vectors:
                 for v in vectors:
                     assert L.bracket(u, v) == bracket_by_table(L, u, v), (field, n)
+            zero = (field.zero,) * n
+            for i in range(n):
+                for j in range(n):
+                    expected = L.table.get((i, j)) or tuple(-x for x in L.table.get((j, i), zero))
+                    assert L.structure_vector(i, j) == expected, (field, n, i, j)
+            u, v = (Subspace.span(field, n, scalars(field, [[rng.choice(entries) for _ in range(n)] for _ in range(k)])) for k in (2, 3))
+            pairwise = [bracket_by_table(L, a, b) for a in u.basis.data for b in v.basis.data]
+            assert L.bracket_span(u, v) == Subspace.span(field, n, pairwise), (field, n)
             assert L.series().center == center_by_equations(L), (field, n)
             series = L.series()
             assert (series.lower_central, series.derived_series) == series_by_brackets(L), (field, n)
@@ -205,12 +215,12 @@ def test_bracket_span_cases():
 
     h = heisenberg(QQ, 1)
     span = h.bracket_span(Subspace.full(QQ, 3), Subspace.full(QQ, 3))
-    assert span == Subspace.span(QQ, 3, [unit(3, 2)])
+    assert span == Subspace.span(QQ, 3, scalars(QQ, [unit(3, 2)]))
 
     L = l4_3()
     derived = L.derived_subalgebra()
     span = L.bracket_span(derived, Subspace.full(QQ, 4))
-    assert span == Subspace.span(QQ, 4, [unit(4, 3)])  # [L^2, L] = <x4>
+    assert span == Subspace.span(QQ, 4, scalars(QQ, [unit(4, 3)]))  # [L^2, L] = <x4>
 
 
 def test_series_abelian():
@@ -225,7 +235,7 @@ def test_series_l4_3():
     rep = l4_3().series()
     assert rep.lower_central_dims() == (4, 2, 1, 0)
     assert rep.nilpotency_class == 3
-    assert rep.center == Subspace.span(QQ, 4, [unit(4, 3)])
+    assert rep.center == Subspace.span(QQ, 4, scalars(QQ, [unit(4, 3)]))
     assert rep.derived_series_dims() == (4, 2, 0)
 
 
@@ -234,7 +244,7 @@ def test_series_l5_8():
     rep = L.series()
     assert rep.nilpotency_class == 2
     assert rep.derived_dim == 2
-    assert rep.center == Subspace.span(QQ, 5, [unit(5, 3), unit(5, 4)])
+    assert rep.center == Subspace.span(QQ, 5, scalars(QQ, [unit(5, 3), unit(5, 4)]))
 
 
 def test_series_flags_non_nilpotent():
@@ -273,24 +283,29 @@ def test_series_is_computed_once():
 
 
 def test_series_builds_each_ad_once(monkeypatch):
-    # the lower central steps and Z(L) read the n maps ad(x_j) off the table,
-    # with no call to ad; only the derived series calls ad(b), over a basis
-    # of L^2, for [L^2, L^2]
+    # every lower central step after L^2 is one product with the adjoint
+    # matrix, and so is [L^2, L^2]; Z(L) is the annihilator of that matrix,
+    # and nothing calls ad
     import liemult.algebra as algebra
 
-    calls, annihilated = [], []
-    real_ad, real_annihilator = LieAlgebra.ad, algebra.annihilator
+    calls, products, annihilated = [], [], []
+    real_ad, real_matmul, real_annihilator = LieAlgebra.ad, Matrix.__matmul__, algebra.annihilator
     monkeypatch.setattr(LieAlgebra, "ad", lambda self, v: calls.append(v) or real_ad(self, v))
-    monkeypatch.setattr(algebra, "annihilator", lambda f, n, maps: annihilated.append(maps) or real_annihilator(f, n, maps))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(b) or real_matmul(a, b))
+    monkeypatch.setattr(algebra, "annihilator", lambda m: annihilated.append(m) or real_annihilator(m))
     for field in (QQ, G5):
         L = direct_sum(l4_3(field), LieAlgebra(field, 2)).change_basis(random_invertible(field, 6, random.Random(3)))
         calls.clear()
+        products.clear()
         annihilated.clear()
         assert L.series().lower_central_dims() == (6, 2, 1, 0)
         assert L.series().center.dim == 3
-        assert len(calls) == L.derived_subalgebra().dim == 2
-        (maps,) = annihilated  # Z(L), the one annihilator of the series
-        assert maps == [real_ad(L, e).data for e in Matrix.identity(field, 6).data]
+        assert calls == []
+        steps = len(L.series().lower_central) - 2  # L^3 and L^4, each from the term before
+        assert sum(m is L._adjoint for m in products) == steps + 1  # and [L^2, L^2]
+        (m,) = annihilated  # Z(L), the one annihilator of the series
+        rows = [[c for row in real_ad(L, e).data for c in row] for e in Matrix.identity(field, 6).data]
+        assert m == Matrix(field, rows, cols=36)  # row j is ad(e_j) read row by row
 
 
 def test_quotient_by_zero_is_isomorphic_copy():
@@ -308,12 +323,12 @@ def test_quotient_heisenberg_by_center():
 
 def test_quotient_l4_3_by_top():
     L = l4_3()
-    q, proj = L.quotient(Subspace.span(QQ, 4, [unit(4, 3)]))
+    q, proj = L.quotient(Subspace.span(QQ, 4, scalars(QQ, [unit(4, 3)])))
     assert q.dim == 3
     assert q.table == heisenberg(QQ, 1).table  # induced table is [x1,x2] = x3
 
     def project(vec):
-        return (Matrix(QQ, [vec]) @ proj).data[0]
+        return (Matrix(QQ, scalars(QQ, [vec])) @ proj).data[0]
 
     # the projection is a bracket homomorphism
     u, v = (1, 2, 3, 4), (0, 1, 1, 0)
@@ -323,7 +338,7 @@ def test_quotient_l4_3_by_top():
 def test_quotient_requires_ideal():
     L = l4_3()
     with pytest.raises(ValueError):
-        L.quotient(Subspace.span(QQ, 4, [unit(4, 0)]))  # <x1> is not an ideal
+        L.quotient(Subspace.span(QQ, 4, scalars(QQ, [unit(4, 0)])))  # <x1> is not an ideal
 
 
 def test_quotient_builds_one_quotient_map(monkeypatch):
@@ -386,7 +401,7 @@ def test_change_basis_preserves_everything():
 def test_change_basis_requires_invertible():
     L = heisenberg(QQ, 1)
     with pytest.raises(ValueError):
-        L.change_basis(Matrix(QQ, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+        L.change_basis(Matrix(QQ, scalars(QQ, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])))
 
 
 def test_abelianization_dimension():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import heisenberg, intersect, reduce, rref_by_fractions, rref_mod_p, subspace_sum
+from conftest import heisenberg, intersect, reduce, rref_by_fractions, rref_mod_p, scalars, subspace_sum
 
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import cochain_complex
@@ -19,11 +19,6 @@ G5 = gf(5)
 
 rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 residue_entries = st.integers(min_value=0, max_value=4).map(G5.of)
-
-
-def scalars(field, rows):
-    """The rows with each entry coerced into field, as a Matrix requires."""
-    return [[field.of(x) for x in row] for row in rows]
 
 
 def matrices(entries, field):
@@ -45,26 +40,26 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    r = rref(Matrix(QQ, [[0] * 4] * 2))
+    r = rref(Matrix(QQ, scalars(QQ, [[0] * 4] * 2)))
     assert r.basis == Matrix(QQ, [], cols=4) and r.pivots == () and r.dim == 0
     assert r.ambient == 4
 
 
 def test_rref_dependent_rows():
-    r = rref(Matrix(QQ, [[1, 2], [2, 4]]))
+    r = rref(Matrix(QQ, scalars(QQ, [[1, 2], [2, 4]])))
     assert r.pivots == (0,)
-    assert r.basis == Matrix(QQ, [[1, 2]])
+    assert r.basis == Matrix(QQ, scalars(QQ, [[1, 2]]))
 
 
 def test_kernel_identity_and_zero():
     assert kernel(Matrix.identity(QQ, 3)).dim == 0
-    assert kernel(Matrix(QQ, [[0] * 3] * 2)) == Subspace.full(QQ, 3)
+    assert kernel(Matrix(QQ, scalars(QQ, [[0] * 3] * 2))) == Subspace.full(QQ, 3)
 
 
 def test_kernel_difference_row():
     # solve x - y = 0 by hand: the line spanned by (1, 1)
-    ker = kernel(Matrix(QQ, [[1, -1]]))
-    assert ker == Subspace.span(QQ, 2, [[1, 1]])
+    ker = kernel(Matrix(QQ, scalars(QQ, [[1, -1]])))
+    assert ker == Subspace.span(QQ, 2, scalars(QQ, [[1, 1]]))
 
 
 def test_invert_round_trip_and_singular():
@@ -73,9 +68,9 @@ def test_invert_round_trip_and_singular():
         p = random_invertible(field, 4, rng)
         assert p @ invert(p) == Matrix.identity(field, 4)
     with pytest.raises(ValueError):
-        invert(Matrix(QQ, [[1, 2], [2, 4]]))
+        invert(Matrix(QQ, scalars(QQ, [[1, 2], [2, 4]])))
     with pytest.raises(ValueError):
-        invert(Matrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+        invert(Matrix(QQ, scalars(QQ, [[1, 2, 3], [4, 5, 6]])))
 
 
 # -- property tests -----------------------------------------------------------
@@ -176,8 +171,7 @@ def test_grassmann_identity(urows, vrows):
 # -- subspaces ---------------------------------------------------------------
 
 def test_subspace_sum_intersect_examples():
-    e1 = [1, 0, 0]
-    e2 = [0, 1, 0]
+    e1, e2 = scalars(QQ, [[1, 0, 0], [0, 1, 0]])
     u = Subspace.span(QQ, 3, [e1])
     v = Subspace.span(QQ, 3, [e2])
     assert subspace_sum(u, v).dim == 2
@@ -187,23 +181,23 @@ def test_subspace_sum_intersect_examples():
 
 
 def test_intersection_content():
-    u = Subspace.span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
-    v = Subspace.span(QQ, 3, [[0, 1, 0], [0, 0, 1]])
+    u = Subspace.span(QQ, 3, scalars(QQ, [[1, 0, 0], [0, 1, 0]]))
+    v = Subspace.span(QQ, 3, scalars(QQ, [[0, 1, 0], [0, 0, 1]]))
     w = intersect(u, v)
-    assert w == Subspace.span(QQ, 3, [[0, 1, 0]])
+    assert w == Subspace.span(QQ, 3, scalars(QQ, [[0, 1, 0]]))
 
 
 def test_subspace_canonical_representation():
-    a = Subspace.span(QQ, 3, [[1, 1, 0], [0, 1, 1]])
-    b = Subspace.span(QQ, 3, [[1, 0, -1], [2, 1, -1]])
+    a = Subspace.span(QQ, 3, scalars(QQ, [[1, 1, 0], [0, 1, 1]]))
+    b = Subspace.span(QQ, 3, scalars(QQ, [[1, 0, -1], [2, 1, -1]]))
     assert a == b  # same row space, any generating set
 
 
 def test_contains_and_reduce():
-    s = Subspace.span(QQ, 3, [[1, 0, 2]])
-    assert s.contains_subspace(Subspace.span(QQ, 3, [[2, 0, 4]]))
-    assert not s.contains_subspace(Subspace.span(QQ, 3, [[1, 1, 2]]))
-    assert not s.contains_subspace(Subspace.span(QQ, 3, [[1, 0, 2], [0, 1, 0]]))  # one row of two inside
+    s = Subspace.span(QQ, 3, scalars(QQ, [[1, 0, 2]]))
+    assert s.contains_subspace(Subspace.span(QQ, 3, scalars(QQ, [[2, 0, 4]])))
+    assert not s.contains_subspace(Subspace.span(QQ, 3, scalars(QQ, [[1, 1, 2]])))
+    assert not s.contains_subspace(Subspace.span(QQ, 3, scalars(QQ, [[1, 0, 2], [0, 1, 0]])))  # one row of two inside
     assert reduce(s, [3, 0, 6]) == [Fraction(0)] * 3
 
 
@@ -266,9 +260,9 @@ def test_prime_rref_matches_reference():
 
 
 def test_pivot_columns_shape():
-    r = rref(Matrix(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]]))
+    r = rref(Matrix(QQ, scalars(QQ, [[0, 1, 2], [0, 0, 0], [0, 1, 3]])))
     assert r.pivots == (1, 2)
-    assert r.basis == Matrix(QQ, [[0, 1, 0], [0, 0, 1]])
+    assert r.basis == Matrix(QQ, scalars(QQ, [[0, 1, 0], [0, 0, 1]]))
 
 
 # -- integer elimination over Q vs elimination on Fractions -------------------

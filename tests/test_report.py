@@ -29,7 +29,7 @@ def test_build_report_computes_each_invariant_once(monkeypatch):
 
     _wrap_everywhere(monkeypatch, "liemult.cohomology", "cochain_complex", counted("cochain_complex"))
     _wrap_everywhere(monkeypatch, "liemult.classify", "classify", counted("classify"))
-    # series() computes Z(L) as the annihilator of the ad(x_j); series().center reads it
+    # series() computes Z(L) as the annihilator of the adjoint matrix; series().center reads it
     monkeypatch.setattr(algebra, "annihilator", counted("center")(algebra.annihilator))
 
     # over GF(5) the epicenter reads L's own complex; over Q it needs the mod-5
