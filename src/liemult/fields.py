@@ -170,10 +170,14 @@ class FieldSpec:
 
     def encode(self, row: Sequence[Scalar]) -> tuple[list[int], int]:
         """(ints, den) with row = ints / den: over Q, den is the lcm of the
-        denominators; over GF(p), ints are the residues and den is 1."""
-        if self.p is not None:
-            return [x.val for x in row], 1
-        ratios = [x.as_integer_ratio() for x in row]
+        denominators; over GF(p), ints are the residues and den is 1.
+
+        Raises TypeError on an entry that this field does not own.
+        """
+        p = self.p
+        if p is not None:
+            return [x.val if isinstance(x, Fp) and x.p == p else self._foreign(x) for x in row], 1
+        ratios = [x.as_integer_ratio() if isinstance(x, Fraction) else self._foreign(x) for x in row]
         den = lcm(*[d for _, d in ratios])
         return [n * (den // d) for n, d in ratios], den
 
@@ -190,9 +194,10 @@ class FieldSpec:
         return [Fp(x * inv, p) if x else zero for x in ints]
 
     def format(self, x: Scalar) -> str:
-        if not self.owns(x):
-            raise TypeError(f"{x!r} is not a {self} scalar")
-        return str(x)
+        return str(x) if self.owns(x) else self._foreign(x)
+
+    def _foreign(self, x):
+        raise TypeError(f"{x!r} is not a {self} scalar")
 
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"

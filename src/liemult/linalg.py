@@ -11,23 +11,29 @@ Conventions used throughout the package:
   shape: values are coerced where they enter the package, so ``FieldSpec.of``
   runs here only in :func:`random_invertible`.
 
-Everything is exact.  ``rref`` returns the row space of its matrix as a
+Everything is exact.  Elimination and products run on Python ints through
+the field's integer codec, :meth:`~liemult.fields.FieldSpec.encode` and
+:meth:`~liemult.fields.FieldSpec.decode`; ``encode`` raises ``TypeError`` on
+an entry of another field.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
 columns, which every caller reads instead of rescanning the rows.  Both
 fields share one elimination loop: fraction-free Gauss-Jordan on Python
 ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
-Bareiss's exact division.  Each row enters through the field's integer
-codec, :meth:`~liemult.fields.FieldSpec.encode`, and only the normaliser
-depends on the field: a rational row is kept primitive (divided by the gcd
-of its entries), a GF(p) row is reduced mod p after each update.  Field
-scalars are created only by the final division of each pivot row by its
-pivot, :meth:`~liemult.fields.FieldSpec.decode`.
+Bareiss's exact division.  Only the normaliser depends on the field: a
+rational row is kept primitive (divided by the gcd of its entries), a GF(p)
+row is reduced mod p after each update.  Field scalars are created only by
+the final division of each pivot row by its pivot.  A product ``a @ b``
+encodes b once, flattened over one denominator, and each row of a once; it
+sums each entry on ints over b's nonzero columns only, and its field scalars
+are made only by decoding each output row over the product of the two
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable
 
 from .fields import FieldSpec
@@ -62,19 +68,22 @@ class Matrix:
         return Matrix(self.field, zip(*self.data), cols=self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product on Python ints over other's nonzero columns (see the module docstring)."""
         if self.field != other.field:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        zero = self.field.zero
-        cols_other = list(zip(*other.data)) if other.rows else []
+        field, width = self.field, other.cols
+        flat, den = field.encode([x for row in other.data for x in row])
+        columns = [(j, col) for j in range(width) if any(col := flat[j::width])]
         out = []
-        for r in self.data:
-            if cols_other:
-                out.append([_dot(r, c, zero) for c in cols_other])
-            else:
-                out.append([zero] * other.cols)
-        return Matrix(self.field, out, cols=other.cols)
+        for row in self.data:
+            ints, d = field.encode(row)
+            acc = [0] * width
+            for j, col in columns:
+                acc[j] = sum(map(mul, ints, col))
+            out.append(field.decode(acc, d * den))
+        return Matrix(field, out, cols=width)
 
     @property
     def rows(self) -> int:
@@ -90,14 +99,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
-
-
-def _dot(u, v, zero):
-    acc = zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def _gauss_jordan(rows: list[list[int]], cols: int, normalise: Callable[[list], list]) -> list[int]:

@@ -7,9 +7,10 @@ tests; they exercise structure outside the named catalog families.
 `LieAlgebra.validate`, `d2_by_brackets` the reference for the d2 that
 `cohomology.cochain_complex` returns, `d1_by_table` the first
 differential, which the package never builds, `rref_by_fractions` the elimination on
-`Fraction` entries that `linalg.rref` replaced over Q, and `rref_mod_p`
+`Fraction` entries that `linalg.rref` replaced over Q, `rref_mod_p`
 the elimination on residues that `linalg.rref` is checked against over
-GF(p), and `reduce` the row-by-row residual modulo a subspace, the
+GF(p), `product_by_scalars` the product on field scalars that `Matrix.__matmul__`
+is checked against, and `reduce` the row-by-row residual modulo a subspace, the
 reference for `Subspace.quotient_map` and `Subspace.contains_subspace`.
 `heisenberg` builds H(m) + A(k) through `make_catalog`.  `wrong_stem_multiplier` plants an error in the closed forms for the
 tests that check a mismatch is caught.  `bracket_by_table`,
@@ -476,6 +477,21 @@ def rref_mod_p(grid: list[list[int]], cols: int, p: int) -> tuple[list[list[int]
         pivots.append(c)
         r += 1
     return grid, pivots
+
+
+def _dot(u, v, zero):
+    """The sum of the products of u and v's nonzero pairs, one field scalar at a time."""
+    acc = zero
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def product_by_scalars(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b summed on field scalars, entry by entry."""
+    columns = list(zip(*b.data)) if b.rows else [()] * b.cols
+    return Matrix(a.field, [[_dot(r, c, a.field.zero) for c in columns] for r in a.data], cols=b.cols)
 
 
 def reduce(u: Subspace, vec) -> list:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,3 +112,6 @@ def test_integer_codec():
     assert g.decode([14, 3], 3) == [g.zero, g.one]
     with pytest.raises(ValueError):
         g.decode([1], 7)  # 7 is no unit mod 7
+    for field, entry in ((g, Fp(1, 5)), (g, 1), (q, 1), (q, 0.5), (q, Fp(1, 7))):
+        with pytest.raises(TypeError, match=re.escape(f"is not a {field} scalar")):
+            field.encode([field.zero, entry])

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import heisenberg, intersect, reduce, rref_by_fractions, rref_mod_p, scalars, subspace_sum
+from conftest import (
+    heisenberg,
+    intersect,
+    product_by_scalars,
+    reduce,
+    rref_by_fractions,
+    rref_mod_p,
+    scalars,
+    subspace_sum,
+)
 
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cohomology import cochain_complex
@@ -213,6 +222,62 @@ def test_ambient_mismatch_rejected():
         u.contains_subspace(w)
     with pytest.raises(ValueError, match="field mismatch"):
         w.contains_subspace(u)
+
+
+# -- the integer product vs the product on field scalars -----------------------
+
+PRODUCT_FIELDS = (QQ, gf(2), gf(3), G5)
+# denominators that are distinct primes, so one row's lcm is their product
+prime_denominator_entries = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 7, 11, 999983]))
+
+
+def product_entries(field):
+    if field.p is None:
+        nonzero = st.one_of(rational_entries, prime_denominator_entries)
+    else:
+        nonzero = st.integers(0, field.p - 1).map(field.of)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRODUCT_FIELDS), st.integers(0, 4), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_product_matches_scalar_reference(field, k, m, w, data):
+    entries = product_entries(field)
+    a = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    b = data.draw(st.lists(st.lists(entries, min_size=w, max_size=w), min_size=m, max_size=m))
+    zero_rows = data.draw(st.sets(st.integers(0, 3)))
+    zero_cols = data.draw(st.sets(st.integers(0, 4)))
+    a = [[field.zero] * m if i in zero_rows else row for i, row in enumerate(a)]
+    b = [[field.zero if j in zero_cols else x for j, x in enumerate(row)] for row in b]
+    left, right = Matrix(field, a, cols=m), Matrix(field, b, cols=w)
+    product = left @ right
+    assert product == product_by_scalars(left, right)
+    assert product.shape == (k, w)
+    assert all(field.owns(x) for row in product.data for x in row)
+
+
+def test_product_edge_shapes():
+    for field in PRODUCT_FIELDS:
+        zero, one = field.zero, field.one
+        assert Matrix(field, [], cols=3) @ Matrix.identity(field, 3) == Matrix(field, [], cols=3)
+        # inner dimension 0: a k x 0 times a 0 x m matrix is the k x m zero matrix
+        empty = Matrix(field, [[]] * 2, cols=0) @ Matrix(field, [], cols=3)
+        assert empty == Matrix(field, [[zero] * 3] * 2, cols=3)
+        assert Matrix(field, [[one, one]]) @ Matrix(field, [[zero, one], [zero, one]]) == Matrix(
+            field, [[zero, one + one]]
+        )
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix.identity(field, 2) @ Matrix.identity(field, 3)
+        with pytest.raises(ValueError, match="field mismatch"):
+            Matrix.identity(field, 2) @ Matrix.identity(gf(7), 2)
+    # rows whose entries have distinct prime denominators, on both sides
+    left = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-5, 7), Fraction(0)]])
+    right = Matrix(QQ, [[Fraction(1, 11), Fraction(0), Fraction(2, 13)], [Fraction(3, 17), Fraction(0), Fraction(1)]])
+    expected = [
+        [Fraction(1, 22) + Fraction(1, 17), Fraction(0), Fraction(1, 13) + Fraction(1, 3)],
+        [Fraction(-5, 77), Fraction(0), Fraction(-10, 91)],
+    ]
+    assert left @ right == Matrix(QQ, expected) == product_by_scalars(left, right)
 
 
 # -- elimination over GF(p) vs elimination on residues -----------------------

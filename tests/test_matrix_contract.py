@@ -1,7 +1,9 @@
 """The scalar contract: a `Matrix` holds scalars of its field, and only inputs coerce.
 
 `Matrix` checks shape only and stores its entries as given, so every
-matrix the package builds must already hold scalars of its field.  Values
+matrix the package builds must already hold scalars of its field.  An
+entry of another field raises `TypeError` at the first `rref` or product,
+where the field codec encodes it.  Values
 from outside the package are coerced, or rejected, where they enter:
 `FieldSpec.parse`, `LieAlgebra.__init__`, `LieAlgebra.ad` and `bracket`,
 the catalog's parameter and `random_invertible`.
@@ -16,7 +18,7 @@ from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import main
 from liemult.document import dumps_algebra
 from liemult.fields import Fp, gf, rationals
-from liemult.linalg import Matrix
+from liemult.linalg import Matrix, rref
 from liemult.verify import builtin_suite, cross_check
 
 QQ = rationals()
@@ -74,3 +76,18 @@ def test_matrix_checks_shape():
     with pytest.raises(ValueError, match="expected 3 columns"):
         Matrix(QQ, [[one, one]], cols=3)
     assert Matrix(QQ, [], cols=3).shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [(G5, Fp(6, 7)), (QQ, 0.5), (G5, 1), (QQ, 1)],
+    ids=["residue-mod-7-in-GF5", "float-in-Q", "int-in-GF5", "int-in-Q"],
+)
+def test_foreign_entry_raises_type_error_at_rref_and_product(field, entry):
+    m = Matrix(field, [[entry, field.one]])
+    with pytest.raises(TypeError, match="is not a"):
+        rref(m)
+    with pytest.raises(TypeError, match="is not a"):
+        m @ Matrix.identity(field, 2)  # a foreign entry on the left
+    with pytest.raises(TypeError, match="is not a"):
+        Matrix.identity(field, 1) @ m  # and on the right
