@@ -11,16 +11,19 @@ complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
 that :func:`~liemult.cohomology.cochain_complex` requires before it
 builds d2.
 
-Brackets are read off one n x n² matrix built with the algebra: row j of
-this adjoint matrix is ad(x_j) written row by row, so its block i is
-[x_i, x_j].  :meth:`LieAlgebra.structure_vector` (i, j) is block i of row j,
-and ad(v) for any set of vectors v is one product of their rows with the
+Brackets are read off one n x n² matrix built with the algebra from the
+table's integer codec form: row j of this adjoint matrix is ad(x_j) written
+row by row, so its block i is [x_i, x_j].
+:meth:`LieAlgebra.structure_vector` (i, j) decodes block i of row j, and
+ad(v) for any set of vectors v is one product of their rows with the
 matrix: ``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1}
 spans the rows of ad(u) over a basis of L^k, ``change_basis`` takes all n
 ad(p_j) from one product, and Z(L) is the :func:`annihilator` of the
-matrix.  Two computations read brackets off the table itself: L^2 is the
-span of its vectors, the rows of d1 up to sign, and the d2 rows in
-:mod:`liemult.cohomology` are assembled from its entries.
+matrix.  L^2 is the span of the table's vectors, the rows of d1 up to
+sign, read as the matrix's blocks at the table's pairs; the d2 rows in
+:mod:`liemult.cohomology` are assembled from the table's entries.  All of
+these stay integer rows; field scalars are made only for the tables of
+the algebras that ``quotient`` and ``change_basis`` return.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -32,11 +35,12 @@ computed once per algebra, and L^2 and Z(L) are read from the series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, annihilator, invert
+from .linalg import Matrix, Subspace, annihilator, invert, rref
 
 
 class JacobiViolation(NamedTuple):
@@ -62,7 +66,10 @@ class LieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
-            vec = tuple(field.of(x) for x in coeffs)
+            # tuple() of a list, not of a generator: a generator's tuple is
+            # resized and freed onto the free list of its final size, which
+            # fills with up to 2,000 blocks that only a full collection empties
+            vec = tuple([field.of(x) for x in coeffs])
             if len(vec) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(vec)} coefficients, need {dim}")
             if any(vec):
@@ -74,15 +81,24 @@ class LieAlgebra:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", MappingProxyType(dict(sorted(table.items()))))
-        object.__setattr__(self, "labels", labels or tuple(f"x{i+1}" for i in range(dim)))
+        object.__setattr__(self, "labels", labels or tuple([f"x{i+1}" for i in range(dim)]))
         object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_violations", None)
-        # row j is ad(x_j) read row by row: its block i is [x_i, x_j]
-        adjoint = [[field.zero] * (dim * dim) for _ in range(dim)]
+        # row j is ad(x_j) read row by row: its block i is [x_i, x_j], over the
+        # lcm of the denominators of its blocks
+        blocks: list[list] = [[] for _ in range(dim)]
         for (i, j), vec in table.items():
-            adjoint[j][i * dim:(i + 1) * dim] = vec
-            adjoint[i][j * dim:(j + 1) * dim] = [-x for x in vec]
-        object.__setattr__(self, "_adjoint", Matrix(field, adjoint, cols=dim * dim))
+            ints, den = field.encode(vec)
+            blocks[j].append((i, ints, den))
+            blocks[i].append((j, [-x for x in ints], den))
+        rows = []
+        for row_blocks in blocks:
+            den = lcm(*[d for _, _, d in row_blocks])
+            row = [0] * (dim * dim)
+            for i, ints, d in row_blocks:
+                row[i * dim:(i + 1) * dim] = ints if d == den else [x * (den // d) for x in ints]
+            rows.append((row, den))
+        object.__setattr__(self, "_adjoint", Matrix._from_rows(field, rows, dim * dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -90,17 +106,17 @@ class LieAlgebra:
     # -- basic bracket machinery -------------------------------------------
 
     def structure_vector(self, i: int, j: int) -> tuple:
-        """[x_i, x_j] for any i, j: block i of row j of the adjoint matrix."""
+        """[x_i, x_j] for any i, j: block i of row j of the adjoint matrix, decoded."""
         n = self.dim
-        return self._adjoint.data[j][i * n:(i + 1) * n]
+        flat, dens = self._adjoint._codec()
+        start = j * n * n + i * n
+        return tuple(self.field.decode(flat[start:start + n], dens[j]))
 
     def _ads(self, vectors: Matrix) -> list[Matrix]:
         """ad(v) for each row v of vectors, from one product with the adjoint matrix."""
         n = self.dim
-        return [
-            Matrix(self.field, [row[i * n:(i + 1) * n] for i in range(n)], cols=n)
-            for row in (vectors @ self._adjoint).data
-        ]
+        blocks = (vectors @ self._adjoint)._rows(n)  # row i of ad(v) is block i of v's row
+        return [Matrix._from_rows(self.field, blocks[k * n:(k + 1) * n], n) for k in range(vectors.rows)]
 
     def ad(self, v: Sequence) -> Matrix:
         """The n x n matrix of x ↦ [x, v]: row i is [x_i, v]."""
@@ -132,8 +148,8 @@ class LieAlgebra:
         """Span of [a, b] over basis vectors a of u, b of v."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("subspace ambient dimension must match the algebra")
-        vecs = [r for m in self._ads(v.basis) for r in (u.basis @ m).data]
-        return Subspace.span(self.field, self.dim, vecs)
+        rows = [r for m in self._ads(v.basis) for r in (u.basis @ m)._rows()]
+        return rref(Matrix._from_rows(self.field, rows, self.dim))
 
     def derived_subalgebra(self) -> Subspace:
         """L^2, read from the series (L itself when L is perfect or zero)."""
@@ -146,14 +162,16 @@ class LieAlgebra:
         """
         if self._series is not None:
             return self._series
-        lower = [Subspace.full(self.field, self.dim)]
-        nxt = Subspace.span(self.field, self.dim, self.table.values())  # L^2
+        n, field = self.dim, self.field
+        lower = [Subspace.full(field, n)]
+        blocks = self._adjoint._rows(n)  # L^2 spans the table vectors: [x_i, x_j] is block i of row j
+        nxt = rref(Matrix._from_rows(field, [blocks[j * n + i] for i, j in self.table], n))
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
                 break
             # [L, L^k] is spanned by the rows of ad(u) over a basis of L^k
-            nxt = Subspace.span(self.field, self.dim, [r for m in self._ads(nxt.basis) for r in m.data])
+            nxt = rref(Matrix._from_rows(field, (nxt.basis @ self._adjoint)._rows(n), n))
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
@@ -178,15 +196,17 @@ class LieAlgebra:
         """
         if ideal.ambient != self.dim:
             raise ValueError("ideal ambient dimension must match the algebra")
-        keep = [j for j in range(self.dim) if j not in ideal.pivots]
+        n = self.dim
+        keep = [j for j in range(n) if j not in ideal.pivots]
         q = len(keep)
-        proj = Matrix(self.field, ideal.quotient_map(), cols=q)
+        proj = ideal.quotient_map()
         if any(not (m @ proj).is_zero() for m in self._ads(ideal.basis)):
             raise ValueError("subspace is not an ideal")  # [L, I] has a nonzero image in L/I
         pairs = [(a, b) for b in range(q) for a in range(b)]
-        brackets = Matrix(self.field, [self.structure_vector(keep[a], keep[b]) for a, b in pairs], cols=self.dim)
+        blocks = self._adjoint._rows(n)  # [x_a, x_b] is block a of row b
+        brackets = Matrix._from_rows(self.field, [blocks[keep[b] * n + keep[a]] for a, b in pairs], n)
         table = dict(zip(pairs, (brackets @ proj).data))
-        labels = tuple(self.labels[j] for j in keep)
+        labels = tuple([self.labels[j] for j in keep])
         return LieAlgebra(self.field, q, table, labels), proj
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
@@ -199,8 +219,9 @@ class LieAlgebra:
         n = self.dim
         pairs = [(i, j) for j in range(n) for i in range(j)]
         # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
-        old = [r for j, m in enumerate(self._ads(p)) for r in (Matrix(self.field, p.data[:j], cols=n) @ m).data]
-        new = Matrix(self.field, old, cols=n) @ pinv
+        rows = p._rows()
+        old = [r for j, m in enumerate(self._ads(p)) for r in (Matrix._from_rows(self.field, rows[:j], n) @ m)._rows()]
+        new = Matrix._from_rows(self.field, old, n) @ pinv
         return LieAlgebra(self.field, n, dict(zip(pairs, new.data)))
 
 

@@ -47,17 +47,17 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     """
     if L.is_abelian:
         raise ValueError("abelian algebras have no stem decomposition")
-    derived = L.derived_subalgebra().basis.data
-    centre = L.series().center.basis.data
+    derived = L.derived_subalgebra().basis._rows()
+    centre = L.series().center.basis._rows()
     d, z = len(derived), len(centre)
-    candidates = derived + centre + Matrix.identity(L.field, L.dim).data
-    picked = rref(Matrix(L.field, candidates, cols=L.dim).transpose()).pivots
+    candidates = derived + centre + Matrix.identity(L.field, L.dim)._rows()
+    picked = rref(Matrix._from_rows(L.field, candidates, L.dim).transpose()).pivots
     abelian_rows = [candidates[c] for c in picked if d <= c < d + z]
     stem_rows = [candidates[c] for c in picked if c < d or c >= d + z]
     rows = stem_rows + abelian_rows
     if len(rows) != L.dim:
         raise AssertionError("basis extension did not reach full dimension")
-    p = Matrix(L.field, rows, cols=L.dim)
+    p = Matrix._from_rows(L.field, rows, L.dim)
     return StemDecomposition(p, len(stem_rows), len(abelian_rows))
 
 
@@ -77,9 +77,14 @@ def has_rank2_member(L: LieAlgebra) -> bool:
     c1, c2 = series.lower_central[1].pivots
     keep = [j for j in range(L.dim) if j not in series.center.pivots]
 
+    coords = {}  # B1 and B2 at each pair: [x_i, x_j] read at L^2's pivots
+    for i, j in combinations(keep, 2):
+        v = L.structure_vector(i, j)
+        coords[i, j] = v[c1], v[c2]
+
     def product(p, q):  # (u1 a + v1 b)(u2 a + v2 b) as coefficients of a^2, ab, b^2
-        u, v = L.structure_vector(*p), L.structure_vector(*q)
-        return u[c1] * v[c1], u[c1] * v[c2] + u[c2] * v[c1], u[c2] * v[c2]
+        (u1, v1), (u2, v2) = coords[p], coords[q]
+        return u1 * u2, u1 * v2 + v1 * u2, v1 * v2
 
     rows = []
     for i, j, k, l in combinations(keep, 4):  # Pf = B_ij B_kl - B_ik B_jl + B_il B_jk

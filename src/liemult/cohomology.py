@@ -19,6 +19,8 @@ check in the package: `LieAlgebra.validate` keeps its result on the
 algebra, and `cochain_complex` refuses an algebra whose list is not
 empty.  The product is summed on Python ints, one integer vector per
 term denominator; field scalars are decoded only for each row's residual.
+d2 itself is built from the same integer rows, each over its own
+denominator, so building it makes no field scalar.
 The denominators are grouped rather than cleared to one lcm for the whole
 table, because that lcm grows with the number of distinct denominators
 and every product would carry it.  d1 is never built: its rows are the
@@ -34,8 +36,9 @@ The epicenter Z*(L) equals the exterior centre
 Z^∧(L) = {x : x∧y = 0 in L∧L for all y} (Niroomand, Parvizi and Russo,
 J. Algebra 2013).  It is the :func:`~liemult.linalg.annihilator` of the
 n x nq pairing matrix whose row j is x ↦ x∧x_j, in the q coordinates of
-L∧L read off the RREF of d2: the construction that gives Z(L) from the
-adjoint matrix, and a polynomial computation over any field.  The result
+L∧L read off the RREF of d2 (integer rows, as d2 is): the construction
+that gives Z(L) from the adjoint matrix, and a polynomial computation over
+any field.  The result
 is checked to lie in Z(L), which it must when d2 is the complex of a Lie
 algebra.
 """
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd, lcm
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
 from .linalg import Matrix, Subspace, annihilator, rref
@@ -60,20 +64,42 @@ class ComplexIntegrityError(ValueError):
     pass
 
 
-def _d2_rows(L: LieAlgebra, triples):
-    """Row (i, j, k) of d2 as {pair: coefficient}, nonzero entries only."""
-    support = {pair: [(l, c, -c) for l, c in enumerate(vec) if c] for pair, vec in L.table.items()}
+def _encoded_table(L: LieAlgebra) -> dict[tuple[int, int], tuple[list[int], int]]:
+    """Each table vector in the field's codec form (ints, den)."""
+    return {pair: L.field.encode(vec) for pair, vec in L.table.items()}
+
+
+def _d2_rows(vectors: dict, triples, p: int | None):
+    """Row (i, j, k) of d2 as (den, {pair: int}): its nonzero entries are the ints over den.
+
+    `vectors` is `_encoded_table`.  The row is canonical: over Q, in lowest
+    terms over a divisor of the lcm of the (up to three) table vectors' own
+    denominators; over GF(p), residues over 1.
+    """
+    support = {pair: (den, [(l, c, -c) for l, c in enumerate(ints) if c]) for pair, (ints, den) in vectors.items()}
+    get = support.get
     for (i, j, k) in triples:
-        row = {}
-        for pair, other, negate in (((i, j), k, True), ((i, k), j, False), ((j, k), i, True)):
+        terms = ((get((i, j)), k, True), (get((i, k)), j, False), (get((j, k)), i, True))
+        den = 1 if p is not None else lcm(*[t[0] for t, _, _ in terms if t])
+        row: dict[tuple[int, int], int] = {}
+        for t, other, negate in terms:
+            if t is None:
+                continue
+            d, entries = t
+            scale = den // d
             # adds ±w([..], x_other); w is alternating, so w(x_l, x_other) = -w(x_other, x_l)
-            for l, c, minus_c in support.get(pair, ()):
+            for l, c, minus_c in entries:
                 if l != other:
                     if negate != (l > other):
                         c = minus_c
                     key = (l, other) if l < other else (other, l)
-                    row[key] = row[key] + c if key in row else c
-        yield {key: c for key, c in row.items() if c}
+                    row[key] = row[key] + c * scale if key in row else c * scale
+        if p is not None:
+            yield 1, {key: c % p for key, c in row.items() if c % p}
+            continue
+        row = {key: c for key, c in row.items() if c}
+        g = gcd(den, *row.values())
+        yield (den, row) if g == 1 else (den // g, {key: c // g for key, c in row.items()})
 
 
 def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
@@ -84,28 +110,26 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
     pair has a nonzero bracket.
 
     The product runs on Python ints.  Each table vector enters once as the
-    field's `encode` (integers over one denominator) and each d2 coefficient
-    as its `ratio`.  A row keeps one integer vector per term denominator,
-    the d2 coefficient's times the vector's, and field scalars are decoded
-    only for the row's residual.  The denominators are grouped, not cleared
+    field's `encode` (integers over one denominator), and each d2 row is
+    integers over its own denominator.  A row keeps one integer vector per
+    term denominator, the d2 row's times the vector's, and field scalars are
+    decoded only for the row's residual.  The denominators are grouped, not cleared
     to one lcm for the whole table: on a dense dim-12 table whose 792 entries
     have distinct 7-digit prime denominators, that lcm has about 4,750
     digits, every product carries it, and the check runs about 40 times
     longer than with the groups.
     """
     field, zero = L.field, L.field.zero
-    ratio = field.ratio
-    vectors = {pair: field.encode(vec) for pair, vec in L.table.items()}
+    vectors = _encoded_table(L)
     violations = []
     triples = triple_basis(L.dim)
-    for triple, row in zip(triples, _d2_rows(L, triples)):
+    for triple, (row_den, row) in zip(triples, _d2_rows(vectors, triples, field.p)):
         groups: dict[int, list[int]] = {}  # term denominator -> integer residual
-        for pair, c in row.items():
+        for pair, a in row.items():
             entry = vectors.get(pair)
             if entry is not None:
                 vec, den = entry
-                a, d = ratio(c)
-                d *= den
+                d = row_den * den
                 acc = groups.get(d)
                 groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
         nonzero = [(d, acc) for d, acc in groups.items() if any(acc)]
@@ -124,10 +148,14 @@ def cochain_complex(L: LieAlgebra) -> Matrix:
         raise ComplexIntegrityError(
             "d2 . d1 != 0; the bracket table violates the Jacobi identity"
         )
-    pairs = pair_basis(L.dim)
-    zero = L.field.zero
-    rows = ([row.get(pq, zero) for pq in pairs] for row in _d2_rows(L, triple_basis(L.dim)))
-    return Matrix(L.field, rows, cols=len(pairs))
+    column = {pq: c for c, pq in enumerate(pair_basis(L.dim))}
+    rows = []
+    for den, entries in _d2_rows(_encoded_table(L), triple_basis(L.dim), L.field.p):
+        row = [0] * len(column)
+        for pq, c in entries.items():
+            row[column[pq]] = c
+        rows.append((row, den))
+    return Matrix._from_rows(L.field, rows, len(column))
 
 
 def schur_dim_oracle(L: LieAlgebra) -> int:
@@ -147,13 +175,16 @@ def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
     series = L.series()
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
-    n, field = L.dim, L.field
-    wedge = dict(zip(pair_basis(n), rowspace.quotient_map()))  # x_i∧x_j for i < j
-    wedge.update({(j, i): [-v for v in w] for (i, j), w in wedge.items()})
-    zeros = [field.zero] * (rowspace.ambient - rowspace.dim)
-    # block i of row j is x_i∧x_j
-    pairing = [[c for i in range(n) for c in wedge.get((i, j), zeros)] for j in range(n)]
-    centre = annihilator(Matrix(field, pairing, cols=n * len(zeros)))
+    n = L.dim
+    q = rowspace.ambient - rowspace.dim
+    wedge = dict(zip(pair_basis(n), rowspace.quotient_map()._rows()))  # x_i∧x_j for i < j
+    wedge.update({(j, i): ([-v for v in w], d) for (i, j), (w, d) in wedge.items()})
+    pairing = []  # block i of row j is x_i∧x_j, over the lcm of the blocks' denominators
+    for j in range(n):
+        blocks = [wedge.get((i, j), ([0] * q, 1)) for i in range(n)]
+        den = lcm(*[d for _, d in blocks])
+        pairing.append(([x * (den // d) for w, d in blocks for x in w], den))
+    centre = annihilator(Matrix._from_rows(L.field, pairing, n * q))
     if not series.center.contains_subspace(centre):
         raise ComplexIntegrityError("exterior centre is not central: the rows of d2 are not im ∂₃")
     return centre

@@ -3,16 +3,22 @@
 Rational scalars are ``fractions.Fraction`` values (always in lowest terms
 with positive denominator).  Prime-field scalars are :class:`Fp` residues,
 stored canonically in ``[0, p)``.  Both support ``+ - * /``, unary ``-``,
-and truthiness as the zero test, so all linear algebra in this package is
-written once, field-agnostically.
+and truthiness as the zero test, so code that computes on scalars (the
+closed forms, and the references in the tests) is written once,
+field-agnostically.
 
 :meth:`FieldSpec.parse` (documents) and :meth:`FieldSpec.of` (tables, vectors,
-parameters, basis changes) run only where values enter the package; a
-:class:`~liemult.linalg.Matrix` stores its entries as given.
+parameters) run only where values enter the package; a
+:class:`~liemult.linalg.Matrix` built from scalars keeps them as given until
+its first integer use encodes them.
 
 Code that computes on Python ints goes through the integer codec,
 :meth:`FieldSpec.encode`, :meth:`FieldSpec.ratio` and :meth:`FieldSpec.decode`,
-so no other module knows what a scalar is made of.
+so no other module knows what a scalar is made of.  A row in codec form is
+``(ints, den)``, the scalars ``ints / den``; :meth:`FieldSpec.canonical`
+gives the one form of each row that a ``Matrix`` stores, so a ``Matrix``
+holds integers only and makes field scalars when its entries are read.
+``zero`` and ``one`` are made once per ``FieldSpec``.
 
 Scalars from different fields never mix; mixing raises ``TypeError``.
 """
@@ -22,7 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence, Union
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -125,11 +132,11 @@ class FieldSpec:
     def char(self) -> int:
         return self.p or 0
 
-    @property
+    @cached_property
     def zero(self) -> Scalar:
         return Fraction(0) if self.p is None else Fp(0, self.p)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return Fraction(1) if self.p is None else Fp(1, self.p)
 
@@ -169,8 +176,9 @@ class FieldSpec:
         return Fp(int(text), self.p)
 
     def encode(self, row: Sequence[Scalar]) -> tuple[list[int], int]:
-        """(ints, den) with row = ints / den: over Q, den is the lcm of the
-        denominators; over GF(p), ints are the residues and den is 1.
+        """(ints, den) with row = ints / den, in the canonical form of
+        :meth:`canonical`: over Q, den is the lcm of the denominators; over
+        GF(p), ints are the residues and den is 1.
 
         Raises TypeError on an entry that this field does not own.
         """
@@ -192,6 +200,26 @@ class FieldSpec:
             return [Fraction(x, den) if x else zero for x in ints]
         inv = pow(den, -1, p)
         return [Fp(x * inv, p) if x else zero for x in ints]
+
+    def canonical(self, ints: list[int], den: int) -> tuple[list[int], int]:
+        """The one (ints, den) that stands for the row ints / den, for any ints and a unit den.
+
+        Over Q the row is in lowest terms: den > 0 and gcd(den, *ints) = 1,
+        so den is the lcm of the entries' denominators (1 for a zero row).
+        Over GF(p) the ints are residues in [0, p) and den is 1.
+        """
+        p = self.p
+        if p is None:
+            if den == 1:
+                return ints, 1
+            if den < 0:
+                ints, den = [-x for x in ints], -den
+            g = gcd(den, *ints)
+            return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
+        if den == 1:
+            return (ints, 1) if not ints or 0 <= min(ints) and max(ints) < p else ([x % p for x in ints], 1)
+        inv = pow(den, -1, p)
+        return [x * inv % p for x in ints], 1
 
     def format(self, x: Scalar) -> str:
         return str(x) if self.owns(x) else self._foreign(x)

@@ -6,66 +6,151 @@ Conventions used throughout the package:
 * ``kernel(m)`` is the right null space ``{x : m @ x^T = 0}``, returned
   with solution vectors as rows;
 * a :class:`Subspace` stores its basis in reduced row echelon form, which
-  makes the representation canonical (equal subspaces compare equal);
-* a :class:`Matrix` stores scalars of its field as given and checks only its
-  shape: values are coerced where they enter the package, so ``FieldSpec.of``
-  runs here only in :func:`random_invertible`.
+  makes the representation canonical (equal subspaces compare equal).
 
-Everything is exact.  Elimination and products run on Python ints through
-the field's integer codec, :meth:`~liemult.fields.FieldSpec.encode` and
-:meth:`~liemult.fields.FieldSpec.decode`; ``encode`` raises ``TypeError`` on
-an entry of another field.  ``rref`` returns the row space of its matrix as a
+A :class:`Matrix` holds the field codec's form of its rows and nothing
+else: one flat row-major list of Python ints and one denominator per row,
+each row kept canonical by :meth:`~liemult.fields.FieldSpec.canonical`
+(lowest terms with a positive denominator over Q, residues in [0, p) over 1
+over GF(p)).  Equality and hashing compare these integers.  A matrix built
+from scalars through ``Matrix(field, data, cols)`` keeps them as given until
+its first integer use (an ``rref``, a product, a comparison), which encodes
+them once with :meth:`~liemult.fields.FieldSpec.encode` and raises
+``TypeError`` on an entry of another field; after that it keeps only the
+integers.  ``data`` decodes the rows into field scalars on each read and
+keeps nothing.  Every operation here, and the package's own matrices (the
+adjoint matrix, d2, the pairing matrix), read and build the integer form, so
+no field scalar is made between them.  ``Matrix._from_rows``,
+``Matrix._rows`` and ``Matrix._codec`` are that integer interface inside the
+package.
+
+Everything is exact.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
 columns, which every caller reads instead of rescanning the rows.  Both
 fields share one elimination loop: fraction-free Gauss-Jordan on Python
 ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
-Bareiss's exact division.  Only the normaliser depends on the field: a
+Bareiss's exact division.  Only the row update depends on the field: a
 rational row is kept primitive (divided by the gcd of its entries), a GF(p)
-row is reduced mod p after each update.  Field scalars are created only by
-the final division of each pivot row by its pivot.  A product ``a @ b``
-encodes b once, flattened over one denominator, and each row of a once; it
-sums each entry on ints over b's nonzero columns only, and its field scalars
-are made only by decoding each output row over the product of the two
-denominators.
+row is reduced mod p; each pivot row is stored over its pivot.  A product
+``a @ b`` reads b over one common denominator and sums each entry on ints
+over b's nonzero columns only; each output row is stored over the product
+of the two denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .fields import FieldSpec
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
-    """Immutable dense matrix of scalars of one FieldSpec, stored as given; only the shape is checked."""
+class _Codec:
+    """Canonical integer rows passed as a Matrix's data: row i is flat[i*cols:(i+1)*cols] / dens[i]."""
 
-    field: FieldSpec
-    data: Iterable[Iterable]
-    cols: int | None = None
+    __slots__ = ("flat", "dens")
+
+    def __init__(self, flat: list[int], dens: list[int]):
+        self.flat, self.dens = flat, dens
+
+
+class Matrix:
+    """Immutable dense matrix over one FieldSpec, held as canonical integer rows."""
+
+    __slots__ = ("field", "cols", "rows", "_grid", "_flat", "_dens")
+
+    def __init__(self, field: FieldSpec, data: Iterable[Iterable], cols: int | None = None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_grid", data)
+        object.__setattr__(self, "cols", cols)
+        self.__post_init__()
 
     def __post_init__(self):
-        grid = tuple(map(tuple, self.data))
+        data = self._grid
+        if type(data) is _Codec:
+            object.__setattr__(self, "_grid", None)
+            object.__setattr__(self, "_flat", data.flat)
+            object.__setattr__(self, "_dens", data.dens)
+            object.__setattr__(self, "rows", len(data.dens))
+            return
+        grid = tuple([tuple(row) for row in data])
         width = len(grid[0]) if grid else self.cols or 0
         if any(len(r) != width for r in grid):
             raise ValueError("ragged matrix rows")
         if self.cols is not None and self.cols != width:
             raise ValueError(f"expected {self.cols} columns, got {width}")
-        object.__setattr__(self, "data", grid)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_flat", None)
+        object.__setattr__(self, "_dens", None)
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "rows", len(grid))
+
+    @classmethod
+    def _from_rows(cls, field: FieldSpec, rows: Iterable[tuple[list[int], int]], cols: int) -> "Matrix":
+        """The matrix whose rows are ints / den for each (ints, den) in rows, stored canonically."""
+        flat: list[int] = []
+        dens: list[int] = []
+        canonical = field.canonical
+        for ints, den in rows:
+            ints, den = canonical(ints, den)
+            flat += ints
+            dens.append(den)
+        return cls(field, _Codec(flat, dens), cols)
+
+    def _codec(self) -> tuple[list[int], list[int]]:
+        """(flat, dens), encoding the given scalars on first use; callers do not mutate them."""
+        if self._grid is not None:
+            flat: list[int] = []
+            dens: list[int] = []
+            encode = self.field.encode
+            for row in self._grid:
+                ints, den = encode(row)
+                flat += ints
+                dens.append(den)
+            object.__setattr__(self, "_flat", flat)
+            object.__setattr__(self, "_dens", dens)
+            object.__setattr__(self, "_grid", None)
+        return self._flat, self._dens
+
+    def _rows(self, width: int | None = None) -> list[tuple[list[int], int]]:
+        """(ints, den) of each row in turn, or of each width-wide piece of each row."""
+        flat, dens = self._codec()
+        w = self.cols if width is None else width
+        if not w:
+            return [([], d) for d in dens]
+        per = self.cols // w
+        return [(flat[k * w:(k + 1) * w], dens[k // per]) for k in range(len(dens) * per)]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """The entries as field scalars: the given ones before the first integer use, else decoded."""
+        if self._grid is not None:
+            return self._grid
+        c, decode = self.cols, self.field.decode
+        return tuple([tuple(decode(self._flat[i * c:(i + 1) * c], d)) for i, d in enumerate(self._dens)])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
+        flat = [0] * (n * n)
+        flat[::n + 1] = [1] * n
+        return cls(field, _Codec(flat, [1] * n), n)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
-        return Matrix(self.field, zip(*self.data), cols=self.rows)
+        c = self.cols
+        flat, den = _common(*self._codec(), c)
+        canonical = self.field.canonical
+        out: list[int] = []
+        dens: list[int] = []
+        for j in range(c):
+            col, d = canonical(flat[j::c], den)
+            out += col
+            dens.append(d)
+        return Matrix(self.field, _Codec(out, dens), self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product on Python ints over other's nonzero columns (see the module docstring)."""
@@ -73,40 +158,63 @@ class Matrix:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        field, width = self.field, other.cols
-        flat, den = field.encode([x for row in other.data for x in row])
+        field, c, width = self.field, self.cols, other.cols
+        flat, den = _common(*other._codec(), width)
         columns = [(j, col) for j in range(width) if any(col := flat[j::width])]
-        out = []
-        for row in self.data:
-            ints, d = field.encode(row)
+        left, dens = self._codec()
+        canonical = field.canonical
+        out: list[int] = []
+        out_dens: list[int] = []
+        for i, d in enumerate(dens):
+            ints = left[i * c:(i + 1) * c]
             acc = [0] * width
             for j, col in columns:
                 acc[j] = sum(map(mul, ints, col))
-            out.append(field.decode(acc, d * den))
-        return Matrix(field, out, cols=width)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
+            acc, d = canonical(acc, d * den)
+            out += acc
+            out_dens.append(d)
+        return Matrix(field, _Codec(out, out_dens), width)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
+        return not any(self._codec()[0])
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.field == other.field and self.shape == other.shape and self._codec() == other._codec()
+
+    def __hash__(self):
+        flat, dens = self._codec()
+        return hash((self.field, self.rows, self.cols, tuple(flat), tuple(dens)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
-def _gauss_jordan(rows: list[list[int]], cols: int, normalise: Callable[[list], list]) -> list[int]:
+def _common(flat: list[int], dens: list[int], cols: int) -> tuple[list[int], int]:
+    """The entries over one denominator: (ints, den) with entry k = ints[k] / den."""
+    den = lcm(*dens)
+    if all(d == den for d in dens):
+        return flat, den
+    out: list[int] = []
+    for i, d in enumerate(dens):
+        row = flat[i * cols:(i + 1) * cols]
+        out += row if d == den else [x * (den // d) for x in row]
+    return out, den
+
+
+def _gauss_jordan(rows: list[list[int]], cols: int, p: int | None) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivot columns.
 
     Row i is cleared at a pivot column by ``a·row_i − f·row_pivot`` with
-    ``a`` and ``f`` first divided by ``gcd(piv, f)``, then passed through
-    ``normalise``.  ``a`` divides the pivot, a nonzero integer or a residue
+    ``a`` and ``f`` first divided by ``gcd(piv, f)``; over Q the new row is
+    made primitive (divided by the gcd of its entries), over GF(p) it is
+    reduced mod p.  ``a`` divides the pivot, a nonzero integer or a residue
     in [1, p), so it is a unit of the field, and each row stays a nonzero
     multiple of the row that elimination on field entries would hold: the
     same pivots are chosen, and dividing each pivot row by its pivot gives
@@ -130,7 +238,10 @@ def _gauss_jordan(rows: list[list[int]], cols: int, normalise: Callable[[list], 
             if f and i != r:
                 g = gcd(piv, f)
                 a, f = piv // g, f // g
-                rows[i] = normalise([a * x - f * y for x, y in zip(rows[i], prow)])
+                if p is None:
+                    rows[i] = _primitive([a * x - f * y for x, y in zip(rows[i], prow)])
+                else:
+                    rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return pivots
@@ -146,27 +257,31 @@ def rref(m: Matrix) -> "Subspace":
     """The row space of m: its reduced row echelon basis and pivot columns.
 
     The basis holds the pivot rows only, so the rank is ``rref(m).dim``.
+    Only the row space is read, so the row denominators are dropped.
     """
-    field, p = m.field, m.field.p
-    rows = [field.encode(row)[0] for row in m.data]
-    if p is None:  # the normaliser; encoded GF(p) rows are residues already
-        normalise = _primitive
+    field, p, c = m.field, m.field.p, m.cols
+    flat = m._codec()[0]
+    rows = [flat[i * c:(i + 1) * c] for i in range(m.rows)]
+    if p is None:  # stored GF(p) rows are residues already
         rows = [_primitive(row) for row in rows]
-    else:
-        normalise = lambda row: [x % p for x in row]
-    pivots = _gauss_jordan(rows, m.cols, normalise)
-    grid = [field.decode(row, row[c]) for row, c in zip(rows, pivots)]
-    return Subspace(Matrix(field, grid, cols=m.cols), tuple(pivots))
+    pivots = _gauss_jordan(rows, c, p)
+    return Subspace(Matrix._from_rows(field, ((row, row[j]) for row, j in zip(rows, pivots)), c), tuple(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m @ x^T = 0}: the columns of the row space's quotient map."""
-    return Subspace.span(m.field, m.cols, zip(*rref(m).quotient_map()))
+    return rref(rref(m).quotient_map().transpose())
 
 
 def annihilator(m: Matrix) -> "Subspace":
-    """{x : x @ m = 0}: the kernel of m's nonzero columns."""
-    return kernel(Matrix(m.field, [col for col in zip(*m.data) if any(col)], cols=m.rows))
+    """{x : x @ m = 0}: the kernel of m's nonzero columns.
+
+    The columns are read over one denominator; scaling a row keeps its kernel.
+    """
+    c = m.cols
+    flat, _ = _common(*m._codec(), c)
+    columns = [(col, 1) for j in range(c) if any(col := flat[j::c])]
+    return kernel(Matrix._from_rows(m.field, columns, m.rows))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -176,12 +291,15 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     if n == 0:
         return m
-    eye = Matrix.identity(m.field, n)
-    aug = Matrix(m.field, [list(r) + list(e) for r, e in zip(m.data, eye.data)], cols=2 * n)
-    rowspace = rref(aug)
+    aug = []  # row i is den_i times [m_i | e_i], which spans the same rows
+    for i, (ints, den) in enumerate(m._rows()):
+        unit = [0] * n
+        unit[i] = den
+        aug.append((ints + unit, 1))
+    rowspace = rref(Matrix._from_rows(m.field, aug, 2 * n))
     if rowspace.pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix(m.field, [row[n:] for row in rowspace.basis.data], cols=n)
+    return Matrix._from_rows(m.field, rowspace.basis._rows(n)[1::2], n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,34 +323,44 @@ class Subspace:
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls.span(field, ambient, Matrix.identity(field, ambient).data)
+        return cls(Matrix.identity(field, ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def quotient_map(self) -> list[list]:
-        """The projection F^n -> F^n/U, as n rows in the free (non-pivot) coordinates.
+    def quotient_map(self) -> Matrix:
+        """The projection F^n -> F^n/U, an n x (n - dim) Matrix in the free (non-pivot) coordinates.
 
         Row i is e_i's image: a unit vector when column i is free, and minus
         the free part of its basis row when i is a pivot, as that row is e_i
         plus its free part.  The kernel is exactly U: ``v @ map`` is v minus
         the basis rows scaled by v's pivot entries, read on the free columns.
+        A basis row's free part keeps its denominator, as its pivot entry is 1.
         """
-        pivot_row = dict(zip(self.pivots, self.basis.data))
-        free = [c for c in range(self.ambient) if c not in pivot_row]
-        zero, one = self.field.zero, self.field.one
-        return [
-            [-pivot_row[i][f] for f in free] if i in pivot_row else [one if f == i else zero for f in free]
-            for i in range(self.ambient)
-        ]
+        n, p = self.ambient, self.field.p
+        flat, dens = self.basis._codec()
+        pivot_row = {c: r for r, c in enumerate(self.pivots)}
+        free = [c for c in range(n) if c not in pivot_row]
+        out: list[int] = []
+        out_dens: list[int] = []
+        for i in range(n):
+            r = pivot_row.get(i)
+            if r is None:
+                out += [int(f == i) for f in free]
+                out_dens.append(1)
+            else:
+                row = flat[r * n:(r + 1) * n]
+                out += [-row[f] for f in free] if p is None else [-row[f] % p for f in free]
+                out_dens.append(dens[r])
+        return Matrix(self.field, _Codec(out, out_dens), len(free))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         """Whether other lies in self: other's basis times the quotient map is zero.
 
         The product raises ValueError on a field or ambient mismatch.
         """
-        return (other.basis @ Matrix(self.field, self.quotient_map(), cols=self.ambient - self.dim)).is_zero()
+        return (other.basis @ self.quotient_map()).is_zero()
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
@@ -242,19 +370,19 @@ def random_invertible(field: FieldSpec, n: int, rng) -> Matrix:
     """Seeded random invertible matrix built from elementary operations.
 
     A product of shear operations and a row permutation, so it is
-    invertible by construction and keeps entries small.
+    invertible by construction and keeps entries small.  The shear factors
+    are drawn from [1, p) over GF(p) and from {-2, -1, 1, 2} over Q.
     """
-    rows = [list(r) for r in Matrix.identity(field, n).data]
+    p = field.p
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if n > 1:
         for _ in range(3 * n):
             i = rng.randrange(n)
             j = rng.randrange(n)
             if i == j:
                 continue
-            if field.is_prime_field:
-                s = field.of(rng.randrange(1, field.p))
-            else:
-                s = field.of(rng.choice((-2, -1, 1, 2)))
-            rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+            s = rng.randrange(1, p) if p is not None else rng.choice((-2, -1, 1, 2))
+            row = [a + s * b for a, b in zip(rows[i], rows[j])]
+            rows[i] = row if p is None else [x % p for x in row]
         rng.shuffle(rows)
-    return Matrix(field, rows, cols=n)
+    return Matrix(field, _Codec([x for row in rows for x in row], [1] * n), n)

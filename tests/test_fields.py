@@ -115,3 +115,20 @@ def test_integer_codec():
     for field, entry in ((g, Fp(1, 5)), (g, 1), (q, 1), (q, 0.5), (q, Fp(1, 7))):
         with pytest.raises(TypeError, match=re.escape(f"is not a {field} scalar")):
             field.encode([field.zero, entry])
+
+
+def test_canonical_row_form():
+    q, g = rationals(), gf(7)
+    assert q.canonical([2, -4, 0], -6) == ([-1, 2, 0], 3)  # lowest terms, positive denominator
+    assert q.canonical([0, 0], 5) == ([0, 0], 1)
+    assert q.canonical([3, 5], 1) == ([3, 5], 1)
+    assert q.canonical(*q.encode([q.parse("1/6"), q.parse("-3/4")])) == q.encode([q.parse("1/6"), q.parse("-3/4")])
+    assert g.canonical([9, -1, 7], 1) == ([2, 6, 0], 1)
+    assert g.canonical([1, 2], 3) == ([5, 3], 1)  # 3^-1 = 5 mod 7
+    assert g.canonical([], 1) == ([], 1)
+
+
+def test_zero_and_one_are_made_once_per_field():
+    for field in (rationals(), gf(5)):
+        assert field.zero is field.zero and field.one is field.one
+        assert (field.zero, field.one) == (field.of(0), field.of(1))

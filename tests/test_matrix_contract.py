@@ -1,24 +1,32 @@
-"""The scalar contract: a `Matrix` holds scalars of its field, and only inputs coerce.
+"""The matrix contract: a `Matrix` holds canonical integer rows, and only inputs coerce.
 
-`Matrix` checks shape only and stores its entries as given, so every
-matrix the package builds must already hold scalars of its field.  An
-entry of another field raises `TypeError` at the first `rref` or product,
-where the field codec encodes it.  Values
-from outside the package are coerced, or rejected, where they enter:
-`FieldSpec.parse`, `LieAlgebra.__init__`, `LieAlgebra.ad` and `bracket`,
-the catalog's parameter and `random_invertible`.
+A `Matrix` stores one flat list of ints and one denominator per row, each
+row in the codec's canonical form (lowest terms with a positive denominator
+over Q, residues over 1 over GF(p)), and `data` decodes field scalars on
+each read.  One built from scalars through `Matrix(field, data, cols)`
+checks their shape and keeps them as given until its first integer use,
+which encodes them: an entry of another field raises `TypeError` at the
+first `rref` or product.  Values from outside the package are coerced, or
+rejected, where they enter: `FieldSpec.parse`, `LieAlgebra.__init__`,
+`LieAlgebra.ad` and `bracket`, and the catalog's parameter.  Every result
+of `rref`, `@`, `transpose`, `invert`, `kernel`, `annihilator` and the
+quotient map is built from integers, and decodes to what the scalar
+references in `conftest` compute.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from conftest import product_by_scalars, reduce, rref_by_fractions, rref_mod_p
+from hypothesis import given, settings, strategies as st
 
 from liemult import LieAlgebra
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import main
 from liemult.document import dumps_algebra
 from liemult.fields import Fp, gf, rationals
-from liemult.linalg import Matrix, rref
+from liemult.linalg import Matrix, annihilator, invert, kernel, rref
 from liemult.verify import builtin_suite, cross_check
 
 QQ = rationals()
@@ -48,6 +56,8 @@ def test_every_matrix_built_holds_scalars_of_its_field(monkeypatch, tmp_path, ca
     assert len(built) > 1000
     foreign = [(m.field, x) for m in built for row in m.data for x in row if not m.field.owns(x)]
     assert foreign == []
+    for m in built:
+        _assert_canonical(m)
 
 
 def test_bracket_and_ad_coerce_int_vectors_and_reject_foreign_residues():
@@ -91,3 +101,95 @@ def test_foreign_entry_raises_type_error_at_rref_and_product(field, entry):
         m @ Matrix.identity(field, 2)  # a foreign entry on the left
     with pytest.raises(TypeError, match="is not a"):
         Matrix.identity(field, 1) @ m  # and on the right
+
+
+# -- the integer form against the scalar references -----------------------------
+
+FIELDS = [QQ, gf(2), gf(3), G5]
+
+
+def _entries(field):
+    if field.is_prime_field:
+        return st.integers(0, field.p - 1).map(field.of)
+    return st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _matrix(draw, field, rows=None, cols=None):
+    r = draw(st.integers(0, 4)) if rows is None else rows
+    c = draw(st.integers(0, 4)) if cols is None else cols
+    grid = draw(st.lists(st.lists(_entries(field), min_size=c, max_size=c), min_size=r, max_size=r))
+    return Matrix(field, grid, cols=c)
+
+
+def _reference_rref(field, grid, cols):
+    """(reduced nonzero rows as scalars, pivots) from the conftest eliminations."""
+    if field.is_prime_field:
+        rows, pivots = rref_mod_p([[x.val for x in row] for row in grid], cols, field.p)
+        rows = [[field.of(x) for x in row] for row in rows]
+    else:
+        rows, pivots = rref_by_fractions([list(row) for row in grid], cols)
+    return [tuple(row) for row in rows[:len(pivots)]], tuple(pivots)
+
+
+def _reference_kernel(field, grid, cols):
+    """RREF basis of {x : grid @ x^T = 0}, solved from the reference RREF by hand."""
+    rows, pivots = _reference_rref(field, grid, cols)
+    free = [f for f in range(cols) if f not in pivots]
+    vectors = []
+    for f in free:
+        v = [field.zero] * cols
+        v[f] = field.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        vectors.append(v)
+    return _reference_rref(field, vectors, cols)
+
+
+def _assert_canonical(m):
+    flat, dens = m._codec()
+    assert len(flat) == m.rows * m.cols and len(dens) == m.rows
+    for i, den in enumerate(dens):
+        row = flat[i * m.cols:(i + 1) * m.cols]
+        if m.field.is_prime_field:
+            assert den == 1 and all(0 <= x < m.field.p for x in row)
+        else:
+            assert den > 0 and gcd(den, *row) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_integer_form_decodes_to_the_scalar_references(field, data):
+    m = data.draw(_matrix(field))
+    other = data.draw(_matrix(field, rows=m.cols))
+    grid = [list(row) for row in m.data]  # the given scalars, read before any integer use
+
+    rowspace = rref(m)
+    assert (list(rowspace.basis.data), rowspace.pivots) == _reference_rref(field, grid, m.cols)
+    product = m @ other
+    assert product.data == product_by_scalars(m, other).data
+    transposed = m.transpose()
+    columns = [[row[j] for row in grid] for j in range(m.cols)]
+    assert transposed.shape == (m.cols, m.rows) and transposed.data == tuple(map(tuple, columns))
+    ker = kernel(m)
+    assert (list(ker.basis.data), ker.pivots) == _reference_kernel(field, grid, m.cols)
+    ann = annihilator(m)
+    assert (list(ann.basis.data), ann.pivots) == _reference_kernel(field, columns, m.rows)
+    qmap = rowspace.quotient_map()
+    free = [c for c in range(m.cols) if c not in rowspace.pivots]
+    for i in range(m.cols):
+        assert list(qmap.data[i]) == [reduce(rowspace, [field.one if k == i else field.zero for k in range(m.cols)])[f]
+                                      for f in free]
+    results = [rowspace.basis, product, transposed, ker.basis, ann.basis, qmap]
+    square = data.draw(_matrix(field, rows=m.cols, cols=m.cols))
+    if rref(square).dim == square.rows:
+        inverse = invert(square)
+        assert product_by_scalars(square, inverse).data == Matrix.identity(field, square.rows).data
+        results.append(inverse)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            invert(square)
+    for result in results + [m, other, square]:
+        _assert_canonical(result)
+        again = Matrix(field, result.data, cols=result.cols)
+        assert again == result and hash(again) == hash(result)
