@@ -106,9 +106,11 @@ class LieAlgebra:
     # -- basic bracket machinery -------------------------------------------
 
     def structure_vector(self, i: int, j: int) -> tuple:
-        """[x_i, x_j] for any i, j: block i of row j of the adjoint matrix, decoded."""
+        """[x_i, x_j] for 0 <= i, j < dim: block i of row j of the adjoint matrix, decoded."""
         n = self.dim
-        flat, dens = self._adjoint._codec()
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"basis index out of range for dim {n}: ({i}, {j})")
+        flat, dens = self._adjoint._flat, self._adjoint._dens
         start = j * n * n + i * n
         return tuple(self.field.decode(flat[start:start + n], dens[j]))
 

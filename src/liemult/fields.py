@@ -8,9 +8,7 @@ closed forms, and the references in the tests) is written once,
 field-agnostically.
 
 :meth:`FieldSpec.parse` (documents) and :meth:`FieldSpec.of` (tables, vectors,
-parameters) run only where values enter the package; a
-:class:`~liemult.linalg.Matrix` built from scalars keeps them as given until
-its first integer use encodes them.
+parameters) run only where values enter the package.
 
 Code that computes on Python ints goes through the integer codec,
 :meth:`FieldSpec.encode`, :meth:`FieldSpec.ratio` and :meth:`FieldSpec.decode`,

@@ -12,17 +12,15 @@ A :class:`Matrix` holds the field codec's form of its rows and nothing
 else: one flat row-major list of Python ints and one denominator per row,
 each row kept canonical by :meth:`~liemult.fields.FieldSpec.canonical`
 (lowest terms with a positive denominator over Q, residues in [0, p) over 1
-over GF(p)).  Equality and hashing compare these integers.  A matrix built
-from scalars through ``Matrix(field, data, cols)`` keeps them as given until
-its first integer use (an ``rref``, a product, a comparison), which encodes
-them once with :meth:`~liemult.fields.FieldSpec.encode` and raises
-``TypeError`` on an entry of another field; after that it keeps only the
-integers.  ``data`` decodes the rows into field scalars on each read and
-keeps nothing.  Every operation here, and the package's own matrices (the
-adjoint matrix, d2, the pairing matrix), read and build the integer form, so
-no field scalar is made between them.  ``Matrix._from_rows``,
-``Matrix._rows`` and ``Matrix._codec`` are that integer interface inside the
-package.
+over GF(p)).  Equality and hashing compare these integers.
+``Matrix(field, data, cols)`` checks the shape of its rows of scalars and
+encodes them with :meth:`~liemult.fields.FieldSpec.encode`, which raises
+``TypeError`` on an entry of another field; ``Matrix._from_rows`` stores
+integer rows, and ``_rows``, ``_flat`` and ``_dens`` read them back: that is
+the integer interface inside the package.  ``data`` decodes the rows into
+field scalars on each read and keeps nothing.  Every operation here, and the
+package's own matrices (the adjoint matrix, d2, the pairing matrix), read
+and build the integer form, so no field scalar is made between them.
 
 Everything is exact.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
@@ -59,33 +57,30 @@ class _Codec:
 class Matrix:
     """Immutable dense matrix over one FieldSpec, held as canonical integer rows."""
 
-    __slots__ = ("field", "cols", "rows", "_grid", "_flat", "_dens")
+    __slots__ = ("field", "cols", "rows", "_flat", "_dens")
 
     def __init__(self, field: FieldSpec, data: Iterable[Iterable], cols: int | None = None):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_grid", data)
-        object.__setattr__(self, "cols", cols)
-        self.__post_init__()
-
-    def __post_init__(self):
-        data = self._grid
         if type(data) is _Codec:
-            object.__setattr__(self, "_grid", None)
-            object.__setattr__(self, "_flat", data.flat)
-            object.__setattr__(self, "_dens", data.dens)
-            object.__setattr__(self, "rows", len(data.dens))
-            return
-        grid = tuple([tuple(row) for row in data])
-        width = len(grid[0]) if grid else self.cols or 0
-        if any(len(r) != width for r in grid):
-            raise ValueError("ragged matrix rows")
-        if self.cols is not None and self.cols != width:
-            raise ValueError(f"expected {self.cols} columns, got {width}")
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_flat", None)
-        object.__setattr__(self, "_dens", None)
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "rows", len(grid))
+            flat, dens = data.flat, data.dens
+        else:
+            grid = [tuple(row) for row in data]
+            width = len(grid[0]) if grid else cols or 0
+            if any(len(r) != width for r in grid):
+                raise ValueError("ragged matrix rows")
+            if cols is not None and cols != width:
+                raise ValueError(f"expected {cols} columns, got {width}")
+            cols = width
+            flat, dens = [], []
+            encode = field.encode
+            for row in grid:
+                ints, den = encode(row)
+                flat += ints
+                dens.append(den)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", len(dens))
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_dens", dens)
 
     @classmethod
     def _from_rows(cls, field: FieldSpec, rows: Iterable[tuple[list[int], int]], cols: int) -> "Matrix":
@@ -99,24 +94,9 @@ class Matrix:
             dens.append(den)
         return cls(field, _Codec(flat, dens), cols)
 
-    def _codec(self) -> tuple[list[int], list[int]]:
-        """(flat, dens), encoding the given scalars on first use; callers do not mutate them."""
-        if self._grid is not None:
-            flat: list[int] = []
-            dens: list[int] = []
-            encode = self.field.encode
-            for row in self._grid:
-                ints, den = encode(row)
-                flat += ints
-                dens.append(den)
-            object.__setattr__(self, "_flat", flat)
-            object.__setattr__(self, "_dens", dens)
-            object.__setattr__(self, "_grid", None)
-        return self._flat, self._dens
-
     def _rows(self, width: int | None = None) -> list[tuple[list[int], int]]:
         """(ints, den) of each row in turn, or of each width-wide piece of each row."""
-        flat, dens = self._codec()
+        flat, dens = self._flat, self._dens
         w = self.cols if width is None else width
         if not w:
             return [([], d) for d in dens]
@@ -128,29 +108,18 @@ class Matrix:
 
     @property
     def data(self) -> tuple[tuple, ...]:
-        """The entries as field scalars: the given ones before the first integer use, else decoded."""
-        if self._grid is not None:
-            return self._grid
+        """The entries as field scalars, decoded on each read."""
         c, decode = self.cols, self.field.decode
         return tuple([tuple(decode(self._flat[i * c:(i + 1) * c], d)) for i, d in enumerate(self._dens)])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        flat = [0] * (n * n)
-        flat[::n + 1] = [1] * n
-        return cls(field, _Codec(flat, [1] * n), n)
+        return cls._from_rows(field, [([int(i == j) for j in range(n)], 1) for i in range(n)], n)
 
     def transpose(self) -> "Matrix":
         c = self.cols
-        flat, den = _common(*self._codec(), c)
-        canonical = self.field.canonical
-        out: list[int] = []
-        dens: list[int] = []
-        for j in range(c):
-            col, d = canonical(flat[j::c], den)
-            out += col
-            dens.append(d)
-        return Matrix(self.field, _Codec(out, dens), self.rows)
+        flat, den = _common(self._flat, self._dens, c)
+        return Matrix._from_rows(self.field, [(flat[j::c], den) for j in range(c)], self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product on Python ints over other's nonzero columns (see the module docstring)."""
@@ -158,38 +127,34 @@ class Matrix:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        field, c, width = self.field, self.cols, other.cols
-        flat, den = _common(*other._codec(), width)
+        c, width = self.cols, other.cols
+        flat, den = _common(other._flat, other._dens, width)
         columns = [(j, col) for j in range(width) if any(col := flat[j::width])]
-        left, dens = self._codec()
-        canonical = field.canonical
-        out: list[int] = []
-        out_dens: list[int] = []
-        for i, d in enumerate(dens):
+        left = self._flat
+        rows = []
+        for i, d in enumerate(self._dens):
             ints = left[i * c:(i + 1) * c]
             acc = [0] * width
             for j, col in columns:
                 acc[j] = sum(map(mul, ints, col))
-            acc, d = canonical(acc, d * den)
-            out += acc
-            out_dens.append(d)
-        return Matrix(field, _Codec(out, out_dens), width)
+            rows.append((acc, d * den))
+        return Matrix._from_rows(self.field, rows, width)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(self._codec()[0])
+        return not any(self._flat)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.shape == other.shape and self._codec() == other._codec()
+        return (self.field == other.field and self.shape == other.shape
+                and self._flat == other._flat and self._dens == other._dens)
 
     def __hash__(self):
-        flat, dens = self._codec()
-        return hash((self.field, self.rows, self.cols, tuple(flat), tuple(dens)))
+        return hash((self.field, self.rows, self.cols, tuple(self._flat), tuple(self._dens)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -260,7 +225,7 @@ def rref(m: Matrix) -> "Subspace":
     Only the row space is read, so the row denominators are dropped.
     """
     field, p, c = m.field, m.field.p, m.cols
-    flat = m._codec()[0]
+    flat = m._flat
     rows = [flat[i * c:(i + 1) * c] for i in range(m.rows)]
     if p is None:  # stored GF(p) rows are residues already
         rows = [_primitive(row) for row in rows]
@@ -279,7 +244,7 @@ def annihilator(m: Matrix) -> "Subspace":
     The columns are read over one denominator; scaling a row keeps its kernel.
     """
     c = m.cols
-    flat, _ = _common(*m._codec(), c)
+    flat, _ = _common(m._flat, m._dens, c)
     columns = [(col, 1) for j in range(c) if any(col := flat[j::c])]
     return kernel(Matrix._from_rows(m.field, columns, m.rows))
 
@@ -338,22 +303,19 @@ class Subspace:
         the basis rows scaled by v's pivot entries, read on the free columns.
         A basis row's free part keeps its denominator, as its pivot entry is 1.
         """
-        n, p = self.ambient, self.field.p
-        flat, dens = self.basis._codec()
+        n = self.ambient
+        flat, dens = self.basis._flat, self.basis._dens
         pivot_row = {c: r for r, c in enumerate(self.pivots)}
         free = [c for c in range(n) if c not in pivot_row]
-        out: list[int] = []
-        out_dens: list[int] = []
+        rows = []
         for i in range(n):
             r = pivot_row.get(i)
             if r is None:
-                out += [int(f == i) for f in free]
-                out_dens.append(1)
+                rows.append(([int(f == i) for f in free], 1))
             else:
                 row = flat[r * n:(r + 1) * n]
-                out += [-row[f] for f in free] if p is None else [-row[f] % p for f in free]
-                out_dens.append(dens[r])
-        return Matrix(self.field, _Codec(out, out_dens), len(free))
+                rows.append(([-row[f] for f in free], dens[r]))
+        return Matrix._from_rows(self.field, rows, len(free))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         """Whether other lies in self: other's basis times the quotient map is zero.
@@ -385,4 +347,4 @@ def random_invertible(field: FieldSpec, n: int, rng) -> Matrix:
             row = [a + s * b for a, b in zip(rows[i], rows[j])]
             rows[i] = row if p is None else [x % p for x in row]
         rng.shuffle(rows)
-    return Matrix(field, _Codec([x for row in rows for x in row], [1] * n), n)
+    return Matrix._from_rows(field, [(row, 1) for row in rows], n)

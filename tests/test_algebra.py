@@ -55,6 +55,13 @@ def test_structure_vector_antisymmetry():
     assert not any(L.structure_vector(1, 1))
 
 
+@pytest.mark.parametrize("i, j", [(3, 0), (-1, 0), (0, 3), (0, -1)])
+def test_structure_vector_rejects_an_index_out_of_range(i, j):
+    L = heisenberg(QQ, 1)  # dim 3: (3, 0) would read [x_0, x_1], (-1, 0) nothing
+    with pytest.raises(IndexError):
+        L.structure_vector(i, j)
+
+
 def test_bracket_bilinear():
     L = l4_3()
     u = [1, 2, 0, 0]

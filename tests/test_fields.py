@@ -1,5 +1,7 @@
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +134,25 @@ def test_zero_and_one_are_made_once_per_field():
     for field in (rationals(), gf(5)):
         assert field.zero is field.zero and field.one is field.one
         assert (field.zero, field.one) == (field.of(0), field.of(1))
+
+
+def test_integer_modules_name_no_scalar_type():
+    """linalg, algebra, cohomology and classify reach scalars only through the codec.
+
+    They name neither scalar type nor what one is made of (`.val`,
+    `.as_integer_ratio`), so the codec in this module is the one place that
+    knows.  The sources are parsed, so docstrings and comments may say
+    anything.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "liemult"
+    types = {"Fraction", "Fp"}
+    named = []
+    for module in ("linalg", "algebra", "cohomology", "classify"):
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, ast.Name) and node.id in types:
+                named.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.alias) and node.name in types:
+                named.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Attribute) and node.attr in types | {"val", "as_integer_ratio"}:
+                named.append((module, node.lineno, node.attr))
+    assert named == []

@@ -4,14 +4,13 @@ A `Matrix` stores one flat list of ints and one denominator per row, each
 row in the codec's canonical form (lowest terms with a positive denominator
 over Q, residues over 1 over GF(p)), and `data` decodes field scalars on
 each read.  One built from scalars through `Matrix(field, data, cols)`
-checks their shape and keeps them as given until its first integer use,
-which encodes them: an entry of another field raises `TypeError` at the
-first `rref` or product.  Values from outside the package are coerced, or
-rejected, where they enter: `FieldSpec.parse`, `LieAlgebra.__init__`,
-`LieAlgebra.ad` and `bracket`, and the catalog's parameter.  Every result
-of `rref`, `@`, `transpose`, `invert`, `kernel`, `annihilator` and the
-quotient map is built from integers, and decodes to what the scalar
-references in `conftest` compute.
+checks their shape and encodes them at once: an entry of another field
+raises `TypeError` where the matrix is built.  Values from outside the
+package are coerced, or rejected, where they enter: `FieldSpec.parse`,
+`LieAlgebra.__init__`, `LieAlgebra.ad` and `bracket`, and the catalog's
+parameter.  Every result of `rref`, `@`, `transpose`, `invert`, `kernel`,
+`annihilator` and the quotient map is built from integers, and decodes to
+what the scalar references in `conftest` compute.
 """
 
 from fractions import Fraction
@@ -26,7 +25,7 @@ from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import main
 from liemult.document import dumps_algebra
 from liemult.fields import Fp, gf, rationals
-from liemult.linalg import Matrix, annihilator, invert, kernel, rref
+from liemult.linalg import Matrix, Subspace, annihilator, invert, kernel, rref
 from liemult.verify import builtin_suite, cross_check
 
 QQ = rationals()
@@ -35,13 +34,13 @@ G5 = gf(5)
 
 def test_every_matrix_built_holds_scalars_of_its_field(monkeypatch, tmp_path, capsys):
     built = []
-    post_init = Matrix.__post_init__
+    init = Matrix.__init__
 
-    def recording(self):
-        post_init(self)
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(Matrix, "__post_init__", recording)
+    monkeypatch.setattr(Matrix, "__init__", recording)
     for prime in (5, 2):
         for name, algebra, cap in builtin_suite(prime):
             assert cross_check(algebra, name, cap).ok, name
@@ -94,13 +93,11 @@ def test_matrix_checks_shape():
     ids=["residue-mod-7-in-GF5", "float-in-Q", "int-in-GF5", "int-in-Q"],
 )
 def test_foreign_entry_raises_type_error_at_rref_and_product(field, entry):
-    m = Matrix(field, [[entry, field.one]])
+    """No rref or product can reach a foreign entry: its matrix is refused where it is built."""
     with pytest.raises(TypeError, match="is not a"):
-        rref(m)
+        Matrix(field, [[entry, field.one]])
     with pytest.raises(TypeError, match="is not a"):
-        m @ Matrix.identity(field, 2)  # a foreign entry on the left
-    with pytest.raises(TypeError, match="is not a"):
-        Matrix.identity(field, 1) @ m  # and on the right
+        Subspace.span(field, 2, [[entry, field.one]])
 
 
 # -- the integer form against the scalar references -----------------------------
@@ -115,11 +112,16 @@ def _entries(field):
 
 
 @st.composite
-def _matrix(draw, field, rows=None, cols=None):
+def _grid(draw, field, rows=None, cols=None):
+    """(rows of scalars as tuples, their width)."""
     r = draw(st.integers(0, 4)) if rows is None else rows
     c = draw(st.integers(0, 4)) if cols is None else cols
     grid = draw(st.lists(st.lists(_entries(field), min_size=c, max_size=c), min_size=r, max_size=r))
-    return Matrix(field, grid, cols=c)
+    return tuple(map(tuple, grid)), c
+
+
+def _matrix(field, rows=None, cols=None):
+    return _grid(field, rows, cols).map(lambda g: Matrix(field, g[0], cols=g[1]))
 
 
 def _reference_rref(field, grid, cols):
@@ -147,7 +149,7 @@ def _reference_kernel(field, grid, cols):
 
 
 def _assert_canonical(m):
-    flat, dens = m._codec()
+    flat, dens = m._flat, m._dens
     assert len(flat) == m.rows * m.cols and len(dens) == m.rows
     for i, den in enumerate(dens):
         row = flat[i * m.cols:(i + 1) * m.cols]
@@ -160,9 +162,10 @@ def _assert_canonical(m):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIELDS), st.data())
 def test_integer_form_decodes_to_the_scalar_references(field, data):
-    m = data.draw(_matrix(field))
+    grid, c = data.draw(_grid(field))
+    m = Matrix(field, grid, cols=c)
+    assert m.data == grid
     other = data.draw(_matrix(field, rows=m.cols))
-    grid = [list(row) for row in m.data]  # the given scalars, read before any integer use
 
     rowspace = rref(m)
     assert (list(rowspace.basis.data), rowspace.pivots) == _reference_rref(field, grid, m.cols)
