@@ -9,7 +9,8 @@ the list of violating triples, empty exactly when the table is a Lie
 algebra.  The residuals are the nonzero rows of d2·d1 in the cochain
 complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
 that :func:`~liemult.cohomology.cochain_complex` requires before it
-builds d2.
+builds a spanning set of the rows of d2: C(k,3) + d·z rows, where
+z = dim Z(L), k = n - z and d = dim L^2.
 
 Brackets are read off one n x n² matrix built with the algebra from the
 table's integer codec form: row j of this adjoint matrix is ad(x_j) written

@@ -14,19 +14,25 @@ by lexicographic triples (i, j, k), i < j < k.  The differentials for a
 
 so d2 . d1 = 0 is exactly the Jacobi identity: row (i, j, k) of the
 product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
-`jacobi_residuals` computes its nonzero rows, and it is the only Jacobi
-check in the package: `LieAlgebra.validate` keeps its result on the
-algebra, and `cochain_complex` refuses an algebra whose list is not
-empty.  The product is summed on Python ints, one integer vector per
-term denominator; field scalars are decoded only for each row's residual.
-d2 itself is built from the same integer rows, each over its own
-denominator, so building it makes no field scalar.
+`jacobi_residuals` computes its nonzero rows over every triple, and it
+is the only Jacobi check in the package: `LieAlgebra.validate` keeps its
+result on the algebra, and `cochain_complex` refuses an algebra whose
+list is not empty.  The product is summed on Python ints, one integer
+vector per term denominator; field scalars are decoded only for each
+row's residual.
 The denominators are grouped rather than cleared to one lcm for the whole
 table, because that lcm grows with the number of distinct denominators
 and every product would carry it.  d1 is never built: its rows are the
 negated table vectors, so its rank is dim L^2, the span that
 `LieAlgebra.series` already keeps.
-`cochain_complex` returns d2, and the multiplier dimension is
+
+Only the row space of d2 is ever read, and `cochain_complex` returns a
+smaller matrix with that row space: C(k,3) + d·z rows over the C(n,2)
+pairs, where z = dim Z(L), k = n - z and d = dim L^2.  Its rows are the
+d2 rows of the triples of the k coordinates that are not pivots of Z(L),
+built from the same integer rows as the Jacobi check, and the wedges of
+L^2's basis with Z(L)'s (see `cochain_complex`), so building it makes no
+field scalar.  The multiplier dimension is
 
     C(n,2) - rank(d2) - dim L^2.
 
@@ -39,8 +45,8 @@ n x nq pairing matrix whose row j is x ↦ x∧x_j, in the q coordinates of
 L∧L read off the RREF of d2 (integer rows, as d2 is): the construction
 that gives Z(L) from the adjoint matrix, and a polynomial computation over
 any field.  The result
-is checked to lie in Z(L), which it must when d2 is the complex of a Lie
-algebra.
+is checked to lie in Z(L), which it must when the rows of d2 span im ∂₃
+of a Lie algebra.
 """
 
 from __future__ import annotations
@@ -143,18 +149,34 @@ def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
 
 
 def cochain_complex(L: LieAlgebra) -> Matrix:
-    """d2: C(n,2) -> C(n,3), rows indexed by triple; refuses a table that breaks Jacobi."""
+    """A spanning set of im ∂₃ adapted to Z(L), as rows over the C(n,2) pairs.
+
+    With c_1..c_z the RREF basis of Z(L), u_1..u_d that of L^2 and K the
+    k = n - z columns that are not pivots of Z(L), the rows are the d2 rows
+    of the C(k,3) triples inside K, then the d·z wedges u_a∧c_b, with entry
+    (i, j) equal to u_i c_j - u_j c_i.  {x_i : i in K} and the c_b are a
+    basis of L and ∂₃ is trilinear, so ∂₃(x_i, x_j, c) = -[x_i, x_j]∧c
+    spans L^2∧Z(L) and a triple with two central vectors gives 0: the row
+    space is that of d2 for any alternating table.  Refuses a table that
+    breaks Jacobi.
+    """
     if L.validate():
         raise ComplexIntegrityError(
             "d2 . d1 != 0; the bracket table violates the Jacobi identity"
         )
-    column = {pq: c for c, pq in enumerate(pair_basis(L.dim))}
+    series = L.series()
+    pairs = pair_basis(L.dim)
+    column = {pq: c for c, pq in enumerate(pairs)}
+    inside = [i for i in range(L.dim) if i not in series.center.pivots]
     rows = []
-    for den, entries in _d2_rows(_encoded_table(L), triple_basis(L.dim), L.field.p):
+    for den, entries in _d2_rows(_encoded_table(L), combinations(inside, 3), L.field.p):
         row = [0] * len(column)
         for pq, c in entries.items():
             row[column[pq]] = c
         rows.append((row, den))
+    for u, du in series.derived.basis._rows():
+        for c, dc in series.center.basis._rows():
+            rows.append(([u[i] * c[j] - u[j] * c[i] for i, j in pairs], du * dc))
     return Matrix._from_rows(L.field, rows, len(column))
 
 

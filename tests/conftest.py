@@ -4,15 +4,16 @@ The explicit stem tables here are hand-expanded and re-validated in the
 tests; they exercise structure outside the named catalog families.
 `sweep_epicenter` is the line-sweep reference for `cohomology.epicenter`,
 `jacobi_residuals_by_brackets` the bracket-based reference for
-`LieAlgebra.validate`, `d2_by_brackets` the reference for the d2 that
-`cohomology.cochain_complex` returns, `d1_by_table` the first
+`LieAlgebra.validate`, `d2_by_brackets` the full C(n,3)-row d2, whose row space
+`cohomology.cochain_complex` spans with fewer rows, `d1_by_table` the first
 differential, which the package never builds, `rref_by_fractions` the elimination on
 `Fraction` entries that `linalg.rref` replaced over Q, `rref_mod_p`
 the elimination on residues that `linalg.rref` is checked against over
 GF(p), `product_by_scalars` the product on field scalars that `Matrix.__matmul__`
 is checked against, and `reduce` the row-by-row residual modulo a subspace, the
 reference for `Subspace.quotient_map` and `Subspace.contains_subspace`.
-`heisenberg` builds H(m) + A(k) through `make_catalog`.  `wrong_stem_multiplier` plants an error in the closed forms for the
+`heisenberg` builds H(m) + A(k) through `make_catalog`, and `free_two_step`
+the free 2-step nilpotent algebra F(g), outside the paper's scope.  `wrong_stem_multiplier` plants an error in the closed forms for the
 tests that check a mismatch is caught.  `bracket_by_table`,
 `center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
 read the table pair by pair, as `LieAlgebra` did before it read every
@@ -221,6 +222,13 @@ def out_of_scope_algebra(field: FieldSpec) -> LieAlgebra:
         5,
         {(0, 1): unit(5, 2), (0, 2): unit(5, 3), (1, 2): unit(5, 4)},
     )
+
+
+def free_two_step(field: FieldSpec, g: int) -> LieAlgebra:
+    """F(g): the free 2-step nilpotent algebra on g generators, [x_i, x_j] = y_ij for i < j."""
+    pairs = list(combinations(range(g), 2))
+    n = g + len(pairs)
+    return LieAlgebra(field, n, {pair: unit(n, g + k) for k, pair in enumerate(pairs)})
 
 
 def jacobi_breaker(field: FieldSpec) -> LieAlgebra:

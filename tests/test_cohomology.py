@@ -1,13 +1,16 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import (
     d1_by_table,
     d2_by_brackets,
+    free_two_step,
     heisenberg,
     jacobi_breaker,
+    non_nilpotent,
     out_of_scope_algebra,
     random_class3,
     random_rank2_stem,
@@ -29,7 +32,7 @@ from liemult.cohomology import (
     triple_basis,
 )
 from liemult.fields import gf, rationals
-from liemult.linalg import Matrix, random_invertible, rref
+from liemult.linalg import Matrix, Subspace, random_invertible, rref
 
 QQ = rationals()
 G2 = gf(2)
@@ -60,8 +63,15 @@ def test_l4_3_differentials_bit_for_bit():
     d2_expected = [[QQ.zero] * 6 for _ in range(4)]
     d2_expected[0][pairs.index((1, 3))] = QQ.of(-1)  # triple (0,1,2)
     d2_expected[1][pairs.index((2, 3))] = QQ.of(-1)  # triple (0,1,3)
-    assert cochain_complex(L) == Matrix(QQ, d2_expected)
     assert d2_by_brackets(L) == Matrix(QQ, d2_expected)
+
+    # Z(L) = <x4>, so K = {x1, x2, x3}: the one triple inside K, then the
+    # d·z = 2 wedges of L^2 = <x3, x4> with x4, x3∧x4 = w_{34} and x4∧x4 = 0
+    adapted = [[QQ.zero] * 6 for _ in range(3)]
+    adapted[0][pairs.index((1, 3))] = QQ.of(-1)  # triple (0,1,2)
+    adapted[1][pairs.index((2, 3))] = QQ.of(1)  # x3∧x4
+    assert cochain_complex(L) == Matrix(QQ, adapted)
+    assert rref(cochain_complex(L)) == rref(d2_by_brackets(L))
 
 
 def test_complex_is_actually_a_complex():
@@ -73,24 +83,53 @@ def test_complex_is_actually_a_complex():
         assert (cochain_complex(L) @ d1_by_table(L)).is_zero()
 
 
+def _d2_reference_cases(field, rng):
+    for _ in range(6):
+        yield random_class3(field, rng.randint(2, 5), rng)
+        yield random_rank2_stem(field, rng.randint(5, 8), rng)
+    r2 = non_nilpotent(field)
+    yield direct_sum(r2, r2)  # z = 0
+    yield direct_sum(direct_sum(r2, r2), r2)
+    for n in (0, 1, 2, 4):
+        yield LieAlgebra(field, n)  # z = n
+
+
 def test_d2_matches_bracket_reference():
-    # bit for bit against d2 evaluated on unit 2-cochains, in random bases;
-    # d1 comes from the test side, so d2 . d1 = 0 and rank d1 = dim L^2 stay checked
+    # the same row space as d2 evaluated on unit 2-cochains, in random bases,
+    # from C(k,3) + d·z rows; d1 comes from the test side, so d2 . d1 = 0
+    # and rank d1 = dim L^2 stay checked
     rng = random.Random(20261018)
     for field in (G2, G3, G5, QQ):
-        for _ in range(6):
-            for L in (random_class3(field, rng.randint(2, 5), rng),
-                      random_rank2_stem(field, rng.randint(5, 8), rng)):
-                L = L.change_basis(random_invertible(field, L.dim, rng))
-                d2, d1 = cochain_complex(L), d1_by_table(L)
-                assert d2 == d2_by_brackets(L)
-                assert (d2 @ d1).is_zero()
-                assert rref(d1).dim == L.derived_subalgebra().dim
+        for L in _d2_reference_cases(field, rng):
+            L = L.change_basis(random_invertible(field, L.dim, rng))
+            d2, d1 = cochain_complex(L), d1_by_table(L)
+            z = L.series().center.dim
+            assert d2.shape == (comb(L.dim - z, 3) + L.derived_subalgebra().dim * z, comb(L.dim, 2))
+            assert rref(d2) == rref(d2_by_brackets(L))
+            assert (d2 @ d1).is_zero()
+            assert rref(d1).dim == L.derived_subalgebra().dim
 
 
 def test_integrity_check_rejects_jacobi_violation():
     with pytest.raises(ComplexIntegrityError):
         cochain_complex(jacobi_breaker(QQ))
+
+
+def test_exterior_centre_refuses_a_row_space_beyond_im_d3():
+    # with all of Λ²L as the row space, L∧L = 0 and every x would be in Z^∧(L)
+    L = heisenberg(G5, 1)
+    with pytest.raises(ComplexIntegrityError, match="not central"):
+        cohomology._exterior_centre(L, Subspace.full(G5, len(pair_basis(L.dim))))
+
+
+@pytest.mark.parametrize("field", [QQ, G2, G3], ids=str)
+def test_free_two_step_multiplier_is_witt(field):
+    # M(F(g)) is the degree-3 part of the free Lie algebra: (g^3 - g)/3 (Witt)
+    rng = random.Random(26)
+    for g in (3, 4, 5):
+        L = free_two_step(field, g)
+        L = L.change_basis(random_invertible(field, L.dim, rng))
+        assert oracle_report(L).schur == (g**3 - g) // 3
 
 
 def test_multiplier_abelian():

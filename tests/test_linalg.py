@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    d2_by_brackets,
     heisenberg,
     intersect,
     product_by_scalars,
@@ -16,7 +17,6 @@ from conftest import (
 )
 
 from liemult.catalog import CatalogId, Family, make_catalog
-from liemult.cohomology import cochain_complex
 from liemult.fields import Fp, gf, rationals
 from liemult.linalg import Matrix, Subspace, invert, kernel, random_invertible, rref
 
@@ -313,7 +313,7 @@ def test_prime_rref_matches_reference():
             make_catalog(CatalogId(Family.L1, abelian=2), field),
         ):
             L = base.change_basis(random_invertible(field, base.dim, rng))
-            d2 = cochain_complex(L)
+            d2 = d2_by_brackets(L)
             cases.append(([[x.val for x in row] for row in d2.data], d2.cols))
         for rows, cols in cases:
             grid, pivots = rref_mod_p(rows, cols, p)
@@ -374,7 +374,7 @@ def test_rref_rational_matches_fraction_reference():
         make_catalog(CatalogId(Family.L6_22, param=1, abelian=2), QQ),
     ):
         L = base.change_basis(random_invertible(QQ, base.dim, rng))
-        cases.append(cochain_complex(L))
+        cases.append(d2_by_brackets(L))
     for m in cases:
         grid, pivots = rref_by_fractions([list(row) for row in m.data], m.cols)
         r = rref(m)
