@@ -7,24 +7,25 @@ coefficient vectors of [x_i, x_j] for i < j.  Antisymmetry is structural:
 identity is *checked*, not assumed; :meth:`LieAlgebra.validate` returns
 the list of violating triples, empty exactly when the table is a Lie
 algebra.  The residuals are the nonzero rows of d2·d1 in the cochain
-complex (:func:`liemult.cohomology.jacobi_residuals`), the identity
-that :func:`~liemult.cohomology.cochain_complex` requires before it
-builds a spanning set of the rows of d2: C(k,3) + d·z rows, where
-z = dim Z(L), k = n - z and d = dim L^2.
+complex (:func:`liemult.cohomology.jacobi_residuals`), read first on the
+triples of the coordinates outside Z(L)'s pivots, whose d2 rows the
+algebra keeps for :func:`~liemult.cohomology.cochain_complex`.
 
-Brackets are read off one n x n² matrix built with the algebra from the
-table's integer codec form: row j of this adjoint matrix is ad(x_j) written
-row by row, so its block i is [x_i, x_j].
+The table is stored once, as one canonical codec row (ints, den) per pair
+(:meth:`~liemult.fields.FieldSpec.canonical`); ``table`` decodes it into
+field scalars on each read, as ``Matrix.data`` does.  ``quotient``,
+``change_basis``, ``direct_sum`` and ``reduce_mod_p`` build their results
+from integer rows through ``LieAlgebra._from_rows``, as ``Matrix._from_rows``
+builds a matrix.  Brackets are read off one n x n² matrix built from those
+rows: row j of this adjoint matrix is ad(x_j) written row by row, so its
+block i is [x_i, x_j].
 :meth:`LieAlgebra.structure_vector` (i, j) decodes block i of row j, and
 ad(v) for any set of vectors v is one product of their rows with the
 matrix: ``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1}
-spans the rows of ad(u) over a basis of L^k, ``change_basis`` takes all n
-ad(p_j) from one product, and Z(L) is the :func:`annihilator` of the
-matrix.  L^2 is the span of the table's vectors, the rows of d1 up to
-sign, read as the matrix's blocks at the table's pairs; the d2 rows in
-:mod:`liemult.cohomology` are assembled from the table's entries.  All of
-these stay integer rows; field scalars are made only for the tables of
-the algebras that ``quotient`` and ``change_basis`` return.
+spans the rows of ad(u) over a basis of L^k, and ``change_basis`` takes
+all n ad(p_j) from one product.  L^2 is the span of the table's vectors,
+the rows of d1 up to sign.  Every bracket lies in L^2, so Z(L) is the
+:func:`annihilator` of the matrix's columns at L^2's pivots.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -52,7 +53,7 @@ class JacobiViolation(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("field", "dim", "table", "labels", "_adjoint", "_series", "_violations")
+    __slots__ = ("field", "dim", "labels", "_table", "_adjoint", "_series", "_violations", "_d2")
 
     def __init__(
         self,
@@ -63,43 +64,60 @@ class LieAlgebra:
     ):
         if dim < 0:
             raise ValueError("negative dimension")
-        table: dict[tuple[int, int], tuple] = {}
+        rows = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
-            # tuple() of a list, not of a generator: a generator's tuple is
-            # resized and freed onto the free list of its final size, which
-            # fills with up to 2,000 blocks that only a full collection empties
-            vec = tuple([field.of(x) for x in coeffs])
+            vec = [field.of(x) for x in coeffs]
             if len(vec) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(vec)} coefficients, need {dim}")
-            if any(vec):
-                table[(i, j)] = vec
+            rows[(i, j)] = field.encode(vec)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("labels length must equal dim")
+        self._store(field, dim, rows, labels)
+
+    @classmethod
+    def _from_rows(
+        cls, field: FieldSpec, dim: int, rows: Mapping[tuple[int, int], tuple[list[int], int]], labels: tuple | None = None
+    ) -> "LieAlgebra":
+        """The algebra with [x_i, x_j] = ints / den for each (i, j): (ints, den) in rows, i < j, stored canonically."""
+        canonical = field.canonical
+        algebra = object.__new__(cls)
+        algebra._store(field, dim, {pair: canonical(ints, den) for pair, (ints, den) in rows.items()}, labels)
+        return algebra
+
+    def _store(self, field: FieldSpec, dim: int, rows: dict, labels: tuple | None) -> None:
+        """Keep the canonical rows that are not zero, in pair order, and build the adjoint matrix from them."""
+        table = {pair: row for pair, row in sorted(rows.items()) if any(row[0])}
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", MappingProxyType(dict(sorted(table.items()))))
         object.__setattr__(self, "labels", labels or tuple([f"x{i+1}" for i in range(dim)]))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_violations", None)
+        object.__setattr__(self, "_d2", None)
         # row j is ad(x_j) read row by row: its block i is [x_i, x_j], over the
         # lcm of the denominators of its blocks
         blocks: list[list] = [[] for _ in range(dim)]
-        for (i, j), vec in table.items():
-            ints, den = field.encode(vec)
+        for (i, j), (ints, den) in table.items():
             blocks[j].append((i, ints, den))
             blocks[i].append((j, [-x for x in ints], den))
-        rows = []
+        adjoint = []
         for row_blocks in blocks:
             den = lcm(*[d for _, _, d in row_blocks])
             row = [0] * (dim * dim)
             for i, ints, d in row_blocks:
                 row[i * dim:(i + 1) * dim] = ints if d == den else [x * (den // d) for x in ints]
-            rows.append((row, den))
-        object.__setattr__(self, "_adjoint", Matrix._from_rows(field, rows, dim * dim))
+            adjoint.append((row, den))
+        object.__setattr__(self, "_adjoint", Matrix._from_rows(field, adjoint, dim * dim))
+
+    @property
+    def table(self) -> Mapping[tuple[int, int], tuple]:
+        """The nonzero [x_i, x_j] for i < j as field scalars, in pair order, decoded on each read."""
+        decode = self.field.decode
+        return MappingProxyType({pair: tuple(decode(ints, den)) for pair, (ints, den) in self._table.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -135,10 +153,14 @@ class LieAlgebra:
 
     @property
     def is_abelian(self) -> bool:
-        return not self.table
+        return not self._table
 
     def validate(self) -> list[JacobiViolation]:
-        """Jacobi residuals, the nonzero rows of d2·d1; computed once and kept."""
+        """Jacobi residuals, the nonzero rows of d2·d1; computed once and kept.
+
+        The d2 rows that certify a valid table stay on the algebra too, for
+        the oracle (:func:`liemult.cohomology.jacobi_residuals`).
+        """
         if self._violations is None:
             from .cohomology import jacobi_residuals  # cohomology imports this module
 
@@ -168,7 +190,7 @@ class LieAlgebra:
         n, field = self.dim, self.field
         lower = [Subspace.full(field, n)]
         blocks = self._adjoint._rows(n)  # L^2 spans the table vectors: [x_i, x_j] is block i of row j
-        nxt = rref(Matrix._from_rows(field, [blocks[j * n + i] for i, j in self.table], n))
+        nxt = rref(Matrix._from_rows(field, [blocks[j * n + i] for i, j in self._table], n))
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
@@ -183,7 +205,11 @@ class LieAlgebra:
             if nxt.dim == derived[-1].dim:
                 break
             derived.append(nxt)
-        center = annihilator(self._adjoint)  # x with ad(x) = 0
+        # [x_i, x_j] lies in L^2, so it is zero exactly when its entries at
+        # L^2's pivots are: Z(L) annihilates those n·d columns of the adjoint
+        pivots = lower[min(1, len(lower) - 1)].pivots
+        at_pivots = [([row[i * n + c] for i in range(n) for c in pivots], den) for row, den in self._adjoint._rows()]
+        center = annihilator(Matrix._from_rows(field, at_pivots, n * len(pivots)))
         series = SeriesReport(tuple(lower), tuple(derived), center, cls)
         object.__setattr__(self, "_series", series)
         return series
@@ -208,9 +234,8 @@ class LieAlgebra:
         pairs = [(a, b) for b in range(q) for a in range(b)]
         blocks = self._adjoint._rows(n)  # [x_a, x_b] is block a of row b
         brackets = Matrix._from_rows(self.field, [blocks[keep[b] * n + keep[a]] for a, b in pairs], n)
-        table = dict(zip(pairs, (brackets @ proj).data))
         labels = tuple([self.labels[j] for j in keep])
-        return LieAlgebra(self.field, q, table, labels), proj
+        return LieAlgebra._from_rows(self.field, q, dict(zip(pairs, (brackets @ proj)._rows())), labels), proj
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
         """Conjugate the table: row i of p is the i-th new basis vector."""
@@ -225,7 +250,7 @@ class LieAlgebra:
         rows = p._rows()
         old = [r for j, m in enumerate(self._ads(p)) for r in (Matrix._from_rows(self.field, rows[:j], n) @ m)._rows()]
         new = Matrix._from_rows(self.field, old, n) @ pinv
-        return LieAlgebra(self.field, n, dict(zip(pairs, new.data)))
+        return LieAlgebra._from_rows(self.field, n, dict(zip(pairs, new._rows())))
 
 
 @dataclass(frozen=True)
@@ -259,14 +284,10 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block direct sum; summands keep their brackets and do not interact."""
     if a.field != b.field:
         raise ValueError("direct sum requires a common field")
-    n = a.dim + b.dim
-    zero = a.field.zero
-    table = {}
-    for (i, j), vec in a.table.items():
-        table[(i, j)] = tuple(vec) + (zero,) * b.dim
-    for (i, j), vec in b.table.items():
-        table[(a.dim + i, a.dim + j)] = (zero,) * a.dim + tuple(vec)
-    return LieAlgebra(a.field, n, table)
+    table = {pair: (ints + [0] * b.dim, den) for pair, (ints, den) in a._table.items()}
+    for (i, j), (ints, den) in b._table.items():
+        table[(a.dim + i, a.dim + j)] = ([0] * a.dim + ints, den)
+    return LieAlgebra._from_rows(a.field, a.dim + b.dim, table)
 
 
 def reduce_mod_p(L: LieAlgebra, p: int) -> LieAlgebra:
@@ -279,12 +300,9 @@ def reduce_mod_p(L: LieAlgebra, p: int) -> LieAlgebra:
     """
     if L.field.is_prime_field:
         raise ValueError("algebra is already over a prime field")
-    source, target = L.field, FieldSpec(p)
-    table = {}
-    for key, vec in L.table.items():
-        ints, den = source.encode(vec)
+    source = L.field
+    for ints, den in L._table.values():
         if den % p == 0:  # den is the lcm of the denominators, and p is prime
-            bad = next(x for x in vec if source.ratio(x)[1] % p == 0)
+            bad = next(x for x in source.decode(ints, den) if source.ratio(x)[1] % p == 0)
             raise ValueError(f"coefficient {bad} has denominator divisible by {p}")
-        table[key] = target.decode(ints, den)
-    return LieAlgebra(target, L.dim, table, L.labels)
+    return LieAlgebra._from_rows(FieldSpec(p), L.dim, L._table, L.labels)

@@ -14,25 +14,20 @@ by lexicographic triples (i, j, k), i < j < k.  The differentials for a
 
 so d2 . d1 = 0 is exactly the Jacobi identity: row (i, j, k) of the
 product is the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
-`jacobi_residuals` computes its nonzero rows over every triple, and it
-is the only Jacobi check in the package: `LieAlgebra.validate` keeps its
-result on the algebra, and `cochain_complex` refuses an algebra whose
-list is not empty.  The product is summed on Python ints, one integer
-vector per term denominator; field scalars are decoded only for each
-row's residual.
-The denominators are grouped rather than cleared to one lcm for the whole
-table, because that lcm grows with the number of distinct denominators
-and every product would carry it.  d1 is never built: its rows are the
-negated table vectors, so its rank is dim L^2, the span that
-`LieAlgebra.series` already keeps.
+`jacobi_residuals` computes its nonzero rows, and it is the only Jacobi
+check in the package: `LieAlgebra.validate` keeps its result on the
+algebra, and `cochain_complex` refuses an algebra whose list is not
+empty.  A valid table is certified by the C(k,3) triples of the k = n - z
+coordinates that are not pivots of Z(L), z = dim Z(L); only a table that
+fails there is run over every triple, to list each violation.  d1 is
+never built: its rows are the negated table vectors, so its rank is
+dim L^2, the span that `LieAlgebra.series` already keeps.
 
 Only the row space of d2 is ever read, and `cochain_complex` returns a
-smaller matrix with that row space: C(k,3) + d·z rows over the C(n,2)
-pairs, where z = dim Z(L), k = n - z and d = dim L^2.  Its rows are the
-d2 rows of the triples of the k coordinates that are not pivots of Z(L),
-built from the same integer rows as the Jacobi check, and the wedges of
-L^2's basis with Z(L)'s (see `cochain_complex`), so building it makes no
-field scalar.  The multiplier dimension is
+smaller matrix with that row space over the C(n,2) pairs: the C(k,3) d2
+rows that certified Jacobi, kept on the algebra, and at most d·z wedges
+of L^2's basis with Z(L)'s, d = dim L^2 (see `cochain_complex`), so
+building it makes no field scalar.  The multiplier dimension is
 
     C(n,2) - rank(d2) - dim L^2.
 
@@ -70,17 +65,13 @@ class ComplexIntegrityError(ValueError):
     pass
 
 
-def _encoded_table(L: LieAlgebra) -> dict[tuple[int, int], tuple[list[int], int]]:
-    """Each table vector in the field's codec form (ints, den)."""
-    return {pair: L.field.encode(vec) for pair, vec in L.table.items()}
-
-
 def _d2_rows(vectors: dict, triples, p: int | None):
     """Row (i, j, k) of d2 as (den, {pair: int}): its nonzero entries are the ints over den.
 
-    `vectors` is `_encoded_table`.  The row is canonical: over Q, in lowest
-    terms over a divisor of the lcm of the (up to three) table vectors' own
-    denominators; over GF(p), residues over 1.
+    `vectors` is the algebra's table in the field's codec form (ints, den).
+    The row is canonical: over Q, in lowest terms over a divisor of the lcm
+    of the (up to three) table vectors' own denominators; over GF(p),
+    residues over 1.
     """
     support = {pair: (den, [(l, c, -c) for l, c in enumerate(ints) if c]) for pair, (ints, den) in vectors.items()}
     get = support.get
@@ -108,44 +99,69 @@ def _d2_rows(vectors: dict, triples, p: int | None):
         yield (den, row) if g == 1 else (den // g, {key: c // g for key, c in row.items()})
 
 
+def _noncentral_rows(L: LieAlgebra) -> list[tuple[int, dict]]:
+    """The d2 rows of the C(k,3) triples inside K, built on the first call and kept on L.
+
+    K is the k = n - z columns that are not pivots of Z(L)'s RREF basis.
+    """
+    if L._d2 is None:
+        inside = [i for i in range(L.dim) if i not in L.series().center.pivots]
+        object.__setattr__(L, "_d2", list(_d2_rows(L._table, combinations(inside, 3), L.field.p)))
+    return L._d2
+
+
+def _residual(row_den: int, row: dict, L: LieAlgebra) -> tuple | None:
+    """The d2 row times d1, a Jacobi residual, as field scalars; None when it is zero."""
+    field, vectors = L.field, L._table
+    groups: dict[int, list[int]] = {}  # term denominator -> integer residual
+    for pair, a in row.items():
+        entry = vectors.get(pair)
+        if entry is not None:
+            vec, den = entry
+            d = row_den * den
+            acc = groups.get(d)
+            groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
+    nonzero = [(d, acc) for d, acc in groups.items() if any(acc)]
+    if not nonzero:
+        return None
+    residual = [field.zero] * L.dim  # the row's field scalars, made only now
+    for d, acc in nonzero:
+        residual = [r + s if s else r for r, s in zip(residual, field.decode(acc, d))]
+    return tuple(residual) if any(residual) else None
+
+
 def jacobi_residuals(L: LieAlgebra) -> list[JacobiViolation]:
     """The nonzero rows of d2·d1, indexed by triple.
 
-    Row (i, j, k) is [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  Row (l, m)
-    of d1 is -[x_l, x_m], so the product visits only the d2 entries whose
-    pair has a nonzero bracket.
+    Row (i, j, k) is J(x_i, x_j, x_k) = [[xi,xj],xk] + [[xj,xk],xi] +
+    [[xk,xi],xj].  Row (l, m) of d1 is -[x_l, x_m], so the product visits
+    only the d2 entries whose pair has a nonzero bracket.
 
-    The product runs on Python ints.  Each table vector enters once as the
-    field's `encode` (integers over one denominator), and each d2 row is
-    integers over its own denominator.  A row keeps one integer vector per
-    term denominator, the d2 row's times the vector's, and field scalars are
-    decoded only for the row's residual.  The denominators are grouped, not cleared
-    to one lcm for the whole table: on a dense dim-12 table whose 792 entries
-    have distinct 7-digit prime denominators, that lcm has about 4,750
-    digits, every product carries it, and the check runs about 40 times
-    longer than with the groups.
+    The rows of the triples inside K (see `_noncentral_rows`) are read
+    first, and decide the whole table.  For any antisymmetric table J is
+    trilinear and alternating, and J(x, y, c) = 0 for c in Z(L), since
+    every bracket with c is zero; Jacobi is not used.  The x_i for i in K
+    and the RREF basis of Z(L) are a basis of L, so J vanishes exactly
+    when it vanishes on the C(k,3) triples inside K.  Only when one of
+    them has a nonzero residual does the pass run over all C(n,3) triples,
+    so the list holds every violating triple, in order.  The rows stay on
+    L for `cochain_complex`.
+
+    The product runs on Python ints.  Each table vector is the field's
+    codec form (integers over one denominator), and each d2 row is integers
+    over its own denominator.  A row keeps one integer vector per term
+    denominator, the d2 row's times the vector's, and field scalars are
+    decoded only for the row's residual.  The denominators are grouped, not
+    cleared to one lcm for the whole table: on a dense dim-12 table whose
+    792 entries have distinct 7-digit prime denominators, that lcm has
+    about 4,750 digits, every product carries it, and the check runs about
+    40 times longer than with the groups.
     """
-    field, zero = L.field, L.field.zero
-    vectors = _encoded_table(L)
-    violations = []
+    if not any(_residual(den, row, L) for den, row in _noncentral_rows(L)):
+        return []
     triples = triple_basis(L.dim)
-    for triple, (row_den, row) in zip(triples, _d2_rows(vectors, triples, field.p)):
-        groups: dict[int, list[int]] = {}  # term denominator -> integer residual
-        for pair, a in row.items():
-            entry = vectors.get(pair)
-            if entry is not None:
-                vec, den = entry
-                d = row_den * den
-                acc = groups.get(d)
-                groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
-        nonzero = [(d, acc) for d, acc in groups.items() if any(acc)]
-        if nonzero:  # the row's field scalars, made only now
-            residual = [zero] * L.dim
-            for d, acc in nonzero:
-                residual = [r + s if s else r for r, s in zip(residual, field.decode(acc, d))]
-            if any(residual):
-                violations.append(JacobiViolation(*triple, tuple(residual)))
-    return violations
+    rows = _d2_rows(L._table, triples, L.field.p)
+    return [JacobiViolation(*t, r) for t, (den, row) in zip(triples, rows) if (r := _residual(den, row, L))]
 
 
 def cochain_complex(L: LieAlgebra) -> Matrix:
@@ -153,12 +169,14 @@ def cochain_complex(L: LieAlgebra) -> Matrix:
 
     With c_1..c_z the RREF basis of Z(L), u_1..u_d that of L^2 and K the
     k = n - z columns that are not pivots of Z(L), the rows are the d2 rows
-    of the C(k,3) triples inside K, then the d·z wedges u_a∧c_b, with entry
-    (i, j) equal to u_i c_j - u_j c_i.  {x_i : i in K} and the c_b are a
-    basis of L and ∂₃ is trilinear, so ∂₃(x_i, x_j, c) = -[x_i, x_j]∧c
-    spans L^2∧Z(L) and a triple with two central vectors gives 0: the row
-    space is that of d2 for any alternating table.  Refuses a table that
-    breaks Jacobi.
+    of the C(k,3) triples inside K, which `validate()` kept, then the
+    wedges u_a∧c_b, with entry (i, j) equal to u_i c_j - u_j c_i.
+    {x_i : i in K} and the c_b are a basis of L and ∂₃ is trilinear, so
+    ∂₃(x_i, x_j, c) = -[x_i, x_j]∧c spans L^2∧Z(L) and a triple with two
+    central vectors gives 0: the row space is that of d2 for any
+    alternating table.  A vector that is a row of both RREF bases gives
+    no u∧u, which is 0, and only one of u∧c and c∧u = -u∧c.  Refuses a
+    table that breaks Jacobi.
     """
     if L.validate():
         raise ComplexIntegrityError(
@@ -167,15 +185,19 @@ def cochain_complex(L: LieAlgebra) -> Matrix:
     series = L.series()
     pairs = pair_basis(L.dim)
     column = {pq: c for c, pq in enumerate(pairs)}
-    inside = [i for i in range(L.dim) if i not in series.center.pivots]
     rows = []
-    for den, entries in _d2_rows(_encoded_table(L), combinations(inside, 3), L.field.p):
+    for den, entries in _noncentral_rows(L):
         row = [0] * len(column)
         for pq, c in entries.items():
             row[column[pq]] = c
         rows.append((row, den))
-    for u, du in series.derived.basis._rows():
-        for c, dc in series.center.basis._rows():
+    us = list(zip(series.derived.basis._rows(), series.derived.pivots))
+    cs = list(zip(series.center.basis._rows(), series.center.pivots))
+    shared = {pivot for u, pivot in us if (u, pivot) in cs}  # rows of both RREF bases
+    for (u, du), pu in us:
+        for (c, dc), pc in cs:
+            if pu in shared and pc in shared and pu >= pc:
+                continue  # u∧u = 0, and c∧u = -u∧c is kept once
             rows.append(([u[i] * c[j] - u[j] * c[i] for i, j in pairs], du * dc))
     return Matrix._from_rows(L.field, rows, len(column))
 

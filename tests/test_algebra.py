@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -161,6 +162,77 @@ def test_validate_hand_expanded_residuals():
     assert L.validate() == jacobi_residuals_by_brackets(L)
 
 
+def test_validate_reads_only_noncentral_triples(monkeypatch):
+    # J is trilinear, alternating and zero on a central argument, so a valid
+    # table is certified by the C(k,3) triples of the k coordinates that are
+    # not pivots of Z(L); a violation anywhere shows on one of them, and the
+    # list then comes from every triple.  The centres are planted: basis
+    # vectors that appear in no bracket, hidden by a random basis.
+    import liemult.cohomology as cohomology
+
+    read = []
+    real = cohomology._d2_rows
+
+    def recording(vectors, triples, p):
+        triples = list(triples)
+        read.append(triples)
+        return real(vectors, triples, p)
+
+    monkeypatch.setattr(cohomology, "_d2_rows", recording)
+    rng = random.Random(20261020)
+    kinds = {"valid": 0, "invalid": 0, "valid, z < n": 0}
+    for field in (QQ, gf(2), gf(3), G5):
+        for n in range(1, 9):
+            for case in range(8):
+                planted = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+                base = _random_table(field, n, rng, two_step=case % 2 == 0)
+                table = {pq: vec for pq, vec in base.table.items() if not planted & set(pq)}
+                L = LieAlgebra(field, n, table).change_basis(random_invertible(field, n, rng))
+                read.clear()
+                expected = jacobi_residuals_by_brackets(L)
+                assert L.validate() == expected, (field, n, case)
+                if expected:
+                    kinds["invalid"] += 1
+                    continue
+                center = L.series().center
+                assert center.dim >= len(planted)
+                inside = [i for i in range(n) if i not in center.pivots]
+                assert [len(t) for t in read] == [comb(n - center.dim, 3)], (field, n, case)
+                assert all(set(t) <= set(inside) for t in read[0]), (field, n, case)
+                kinds["valid"] += 1
+                kinds["valid, z < n"] += center.dim < n
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_constructions_match_the_table_they_decode_to():
+    # change_basis, quotient, direct_sum and reduce_mod_p build from integer
+    # rows; each must be the algebra its own decoded table describes
+    rng = random.Random(20261021)
+    fractions = (-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(2, 15))
+    named = 0
+    for field in (QQ, gf(2), gf(3), G5):
+        for n in range(8):
+            for case in range(4):
+                entries = fractions if field == QQ else None
+                L = _random_table(field, n, rng, two_step=case % 2 == 0, entries=entries)
+                other = _random_table(field, rng.randrange(4), rng, two_step=True, entries=entries)
+                built = [L.change_basis(random_invertible(field, n, rng)), direct_sum(L, other), direct_sum(other, L)]
+                built += [L.quotient(ideal)[0] for ideal in (L.series().center, L.derived_subalgebra())]
+                if field == QQ:
+                    for p in (2, 3, 5):
+                        try:
+                            built.append(reduce_mod_p(L, p))
+                        except ValueError as exc:
+                            bad = Fraction(str(exc).split()[1])
+                            assert str(exc) == f"coefficient {bad} has denominator divisible by {p}"
+                            assert any(bad in vec for vec in L.table.values()) and bad.denominator % p == 0
+                            named += 1
+                for R in built:
+                    again = LieAlgebra(R.field, R.dim, dict(R.table), R.labels)
+                    assert again.table == R.table and again._adjoint == R._adjoint, (field, n, case)
+    assert named >= 10
+
+
 def sl2(field):
     """[e,f] = h, [e,h] = -2e, [f,h] = 2f: perfect outside characteristic 2."""
     return LieAlgebra(field, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
@@ -261,11 +333,6 @@ def test_series_flags_non_nilpotent():
     assert rep.lower_central_dims() == (2, 1)
 
 
-def sl2(field):
-    """e, f, h with [e,f] = h, [e,h] = -2e, [f,h] = 2f: perfect outside char 2."""
-    return LieAlgebra(field, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
-
-
 def test_derived_subalgebra_reads_the_series():
     cases = [LieAlgebra(QQ, 0), LieAlgebra(QQ, 3), non_nilpotent(QQ), sl2(QQ), sl2(G5)]
     cases += [L for _, L in rank2_stem_zoo(QQ)]
@@ -291,8 +358,8 @@ def test_series_is_computed_once():
 
 def test_series_builds_each_ad_once(monkeypatch):
     # every lower central step after L^2 is one product with the adjoint
-    # matrix, and so is [L^2, L^2]; Z(L) is the annihilator of that matrix,
-    # and nothing calls ad
+    # matrix, and so is [L^2, L^2]; Z(L) is the annihilator of that matrix's
+    # columns at L^2's pivots, and nothing calls ad
     import liemult.algebra as algebra
 
     calls, products, annihilated = [], [], []
@@ -311,8 +378,9 @@ def test_series_builds_each_ad_once(monkeypatch):
         steps = len(L.series().lower_central) - 2  # L^3 and L^4, each from the term before
         assert sum(m is L._adjoint for m in products) == steps + 1  # and [L^2, L^2]
         (m,) = annihilated  # Z(L), the one annihilator of the series
-        rows = [[c for row in real_ad(L, e).data for c in row] for e in Matrix.identity(field, 6).data]
-        assert m == Matrix(field, rows, cols=36)  # row j is ad(e_j) read row by row
+        pivots = L.derived_subalgebra().pivots
+        rows = [[row[c] for row in real_ad(L, e).data for c in pivots] for e in Matrix.identity(field, 6).data]
+        assert m == Matrix(field, rows, cols=6 * len(pivots))  # row j is ad(e_j) at L^2's pivots
 
 
 def test_quotient_by_zero_is_isomorphic_copy():
