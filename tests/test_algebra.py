@@ -133,6 +133,22 @@ def test_validate_matches_bracket_reference():
     assert min(invalid, total - invalid) >= 50  # both kinds are well represented
 
 
+def test_validate_verdict_is_invariant_under_change_of_basis():
+    # the Jacobiator is trilinear, so a basis change fails Jacobi exactly when
+    # the table does: `report --randomize-basis` validates the copy alone
+    rng = random.Random(20261022)
+    kinds = {False: 0, True: 0}
+    for field in (QQ, gf(2), gf(3), G5):
+        for n in range(8):
+            for case in range(6):
+                L = _random_table(field, n, rng, two_step=case % 3 == 0)
+                invalid = bool(L.validate())
+                copy = L.change_basis(random_invertible(field, n, rng))
+                assert bool(copy.validate()) == invalid, (field, n, case)
+                kinds[invalid] += 1
+    assert min(kinds.values()) >= 50, kinds  # both kinds are well represented
+
+
 def test_validate_matches_bracket_reference_on_mixed_denominators():
     # the integer residuals keep one vector per term denominator: coprime
     # denominators must not cancel or merge, and a residue near 2^31 must

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (fifth_scaled_l58, heisenberg, jacobi_breaker, non_nilpoten
                       out_of_scope_algebra, stem7_rank2, wrong_stem_multiplier)
 
 import liemult
+from liemult import LieAlgebra
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import build_parser, entrypoint, main
 from liemult.document import dumps_algebra, loads_algebra
@@ -276,18 +278,21 @@ def test_report_pretty_sweep_error(tmp_path, capsys):
 
 
 def test_report_computes_jacobi_residuals_once(tmp_path, capsys, monkeypatch):
+    import liemult.cli as cli
     import liemult.cohomology as cohomology
 
-    seen = []
+    seen, read = [], []
     real = cohomology.jacobi_residuals
     monkeypatch.setattr(cohomology, "jacobi_residuals", lambda L: seen.append(L) or real(L))
+    monkeypatch.setattr(cli, "loads_algebra", lambda text: read.append(loads_algebra(text)) or read[-1])
     path = write_doc(tmp_path, "l58.json", make_catalog(CatalogId(Family.L5_8, abelian=1), gf(5)))
     assert main(["report", str(path), "--oracle"]) == 0
-    assert len(seen) == 1
+    assert len(seen) == 1 and seen[0] is read[0]
     seen.clear()
-    # the original table and its basis change are two algebras
+    read.clear()
+    # only the basis change, the algebra the report analyses, is validated
     assert main(["report", str(path), "--oracle", "--randomize-basis", "--seed", "3"]) == 0
-    assert len(seen) == 2 and seen[0] is not seen[1]
+    assert len(read) == 1 and len(seen) == 1 and seen[0] is not read[0]
     capsys.readouterr()
 
 
@@ -295,6 +300,30 @@ def test_report_jacobi_failure(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json", jacobi_breaker(QQ))
     assert main(["report", str(path)]) == 2
     capsys.readouterr()
+
+
+def _j635(n):
+    # [x1,x2] = 1/3 x3, [x1,x3] = 2/5 x4, [x2,x4] = 3/7 x1, plus n - 4 central generators
+    table = {(0, 1): (0, 0, Fraction(1, 3)), (0, 2): (0, 0, 0, Fraction(2, 5)), (1, 3): (Fraction(3, 7),)}
+    return LieAlgebra(QQ, n, {pq: vec + (0,) * (n - len(vec)) for pq, vec in table.items()})
+
+
+@pytest.mark.parametrize(
+    "name, algebra, triples",
+    [("j635", _j635(4), [(1, 2, 3), (2, 3, 4)]), ("j635x5", _j635(5), [(1, 2, 3), (2, 3, 4)])]
+    + [(f"breaker_gf{p}", jacobi_breaker(gf(p)), [(1, 2, 3)]) for p in (2, 3, 5)],
+)
+def test_report_lists_the_documents_violations_in_any_basis(tmp_path, capsys, name, algebra, triples):
+    # the randomized copy is validated in place of the document; a copy that
+    # fails lists the document's triples, so no flag changes the output
+    path = write_doc(tmp_path, f"{name}.json", algebra)
+    expected = "".join(f"jacobi violation at {t}\n" for t in triples)
+    for oracle in ([], ["--oracle"]):
+        for basis in ([], ["--randomize-basis", "--seed", "3"], ["--randomize-basis", "--seed", "7"]):
+            for pretty in ([], ["--pretty"]):
+                argv = ["report", str(path), *oracle, *basis, *pretty]
+                assert main(argv) == 2, argv
+                assert capsys.readouterr() == (expected, ""), argv
 
 
 # -- check --------------------------------------------------------------------
