@@ -16,16 +16,17 @@ The table is stored once, as one canonical codec row (ints, den) per pair
 field scalars on each read, as ``Matrix.data`` does.  ``quotient``,
 ``change_basis``, ``direct_sum`` and ``reduce_mod_p`` build their results
 from integer rows through ``LieAlgebra._from_rows``, as ``Matrix._from_rows``
-builds a matrix.  Brackets are read off one n x n² matrix built from those
-rows: row j of this adjoint matrix is ad(x_j) written row by row, so its
-block i is [x_i, x_j].
-:meth:`LieAlgebra.structure_vector` (i, j) decodes block i of row j, and
-ad(v) for any set of vectors v is one product of their rows with the
-matrix: ``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1}
-spans the rows of ad(u) over a basis of L^k, and ``change_basis`` takes
-all n ad(p_j) from one product.  L^2 is the span of the table's vectors,
-the rows of d1 up to sign.  Every bracket lies in L^2, so Z(L) is the
-:func:`annihilator` of the matrix's columns at L^2's pivots.
+builds a matrix.  ``structure_vector`` and ``quotient`` read single brackets
+from those rows, negated for i > j.  Other brackets are read off the n x n²
+adjoint matrix that :func:`~liemult.linalg.alternating` lays out from them:
+row j is ad(x_j) written row by row, so its block i is [x_i, x_j], and ad(v)
+for any set of vectors v is one product of their rows with it:
+``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1} spans the
+rows of ad(u) over a basis of L^k, and ``change_basis`` takes all n ad(p_j)
+from one product.  L^2 is the span of the table's vectors, the rows of d1 up
+to sign.  Every bracket lies in L^2, so Z(L) is the :func:`annihilator` of
+the n x n·d matrix that ``alternating`` lays out from the table's entries at
+L^2's pivots.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -37,12 +38,11 @@ computed once per algebra, and L^2 and Z(L) are read from the series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, annihilator, invert, rref
+from .linalg import Matrix, Subspace, alternating, annihilator, invert, rref
 
 
 class JacobiViolation(NamedTuple):
@@ -98,20 +98,8 @@ class LieAlgebra:
         object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_violations", None)
         object.__setattr__(self, "_d2", None)
-        # row j is ad(x_j) read row by row: its block i is [x_i, x_j], over the
-        # lcm of the denominators of its blocks
-        blocks: list[list] = [[] for _ in range(dim)]
-        for (i, j), (ints, den) in table.items():
-            blocks[j].append((i, ints, den))
-            blocks[i].append((j, [-x for x in ints], den))
-        adjoint = []
-        for row_blocks in blocks:
-            den = lcm(*[d for _, _, d in row_blocks])
-            row = [0] * (dim * dim)
-            for i, ints, d in row_blocks:
-                row[i * dim:(i + 1) * dim] = ints if d == den else [x * (den // d) for x in ints]
-            adjoint.append((row, den))
-        object.__setattr__(self, "_adjoint", Matrix._from_rows(field, adjoint, dim * dim))
+        # row j is ad(x_j) read row by row: its block i is [x_i, x_j]
+        object.__setattr__(self, "_adjoint", alternating(field, dim, table, dim))
 
     @property
     def table(self) -> Mapping[tuple[int, int], tuple]:
@@ -125,13 +113,12 @@ class LieAlgebra:
     # -- basic bracket machinery -------------------------------------------
 
     def structure_vector(self, i: int, j: int) -> tuple:
-        """[x_i, x_j] for 0 <= i, j < dim: block i of row j of the adjoint matrix, decoded."""
+        """[x_i, x_j] for 0 <= i, j < dim, decoded from the table: -[x_j, x_i] when i > j."""
         n = self.dim
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"basis index out of range for dim {n}: ({i}, {j})")
-        flat, dens = self._adjoint._flat, self._adjoint._dens
-        start = j * n * n + i * n
-        return tuple(self.field.decode(flat[start:start + n], dens[j]))
+        ints, den = self._table.get((min(i, j), max(i, j)), ([0] * n, 1))
+        return tuple(self.field.decode(ints if i < j else [-x for x in ints], den))
 
     def _ads(self, vectors: Matrix) -> list[Matrix]:
         """ad(v) for each row v of vectors, from one product with the adjoint matrix."""
@@ -189,8 +176,7 @@ class LieAlgebra:
             return self._series
         n, field = self.dim, self.field
         lower = [Subspace.full(field, n)]
-        blocks = self._adjoint._rows(n)  # L^2 spans the table vectors: [x_i, x_j] is block i of row j
-        nxt = rref(Matrix._from_rows(field, [blocks[j * n + i] for i, j in self._table], n))
+        nxt = rref(Matrix._from_rows(field, self._table.values(), n))  # L^2 spans the table vectors
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
@@ -206,10 +192,10 @@ class LieAlgebra:
                 break
             derived.append(nxt)
         # [x_i, x_j] lies in L^2, so it is zero exactly when its entries at
-        # L^2's pivots are: Z(L) annihilates those n·d columns of the adjoint
+        # L^2's pivots are: Z(L) annihilates the table read at those d columns
         pivots = lower[min(1, len(lower) - 1)].pivots
-        at_pivots = [([row[i * n + c] for i in range(n) for c in pivots], den) for row, den in self._adjoint._rows()]
-        center = annihilator(Matrix._from_rows(field, at_pivots, n * len(pivots)))
+        at_pivots = {pair: ([ints[c] for c in pivots], den) for pair, (ints, den) in self._table.items()}
+        center = annihilator(alternating(field, n, at_pivots, len(pivots)))
         series = SeriesReport(tuple(lower), tuple(derived), center, cls)
         object.__setattr__(self, "_series", series)
         return series
@@ -232,8 +218,8 @@ class LieAlgebra:
         if any(not (m @ proj).is_zero() for m in self._ads(ideal.basis)):
             raise ValueError("subspace is not an ideal")  # [L, I] has a nonzero image in L/I
         pairs = [(a, b) for b in range(q) for a in range(b)]
-        blocks = self._adjoint._rows(n)  # [x_a, x_b] is block a of row b
-        brackets = Matrix._from_rows(self.field, [blocks[keep[b] * n + keep[a]] for a, b in pairs], n)
+        zero = ([0] * n, 1)  # keep is increasing, so keep[a] < keep[b]
+        brackets = Matrix._from_rows(self.field, [self._table.get((keep[a], keep[b]), zero) for a, b in pairs], n)
         labels = tuple([self.labels[j] for j in keep])
         return LieAlgebra._from_rows(self.field, q, dict(zip(pairs, (brackets @ proj)._rows())), labels), proj
 

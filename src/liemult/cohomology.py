@@ -37,11 +37,10 @@ The epicenter Z*(L) equals the exterior centre
 Z^∧(L) = {x : x∧y = 0 in L∧L for all y} (Niroomand, Parvizi and Russo,
 J. Algebra 2013).  It is the :func:`~liemult.linalg.annihilator` of the
 n x nq pairing matrix whose row j is x ↦ x∧x_j, in the q coordinates of
-L∧L read off the RREF of d2 (integer rows, as d2 is): the construction
-that gives Z(L) from the adjoint matrix, and a polynomial computation over
-any field.  The result
-is checked to lie in Z(L), which it must when the rows of d2 span im ∂₃
-of a Lie algebra.
+L∧L read off the RREF of d2 (integer rows, as d2 is), laid out by
+:func:`~liemult.linalg.alternating` as Z(L)'s matrix is from the table: a
+polynomial computation over any field.  The result is checked to lie in
+Z(L), which it must when the rows of d2 span im ∂₃ of a Lie algebra.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, annihilator, rref
+from .linalg import Matrix, Subspace, alternating, annihilator, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -211,24 +210,17 @@ def schur_dim_oracle(L: LieAlgebra) -> int:
 def _exterior_centre(L: LieAlgebra, rowspace: Subspace) -> Subspace:
     """Z^∧(L) = {x : x∧y = 0 in L∧L for all y}, read off the row space of d2.
 
-    L∧L = Λ²L / rowspace(d2), so x_i∧x_j has the coordinates of row (i, j)
-    of `rowspace.quotient_map()`.  The result is the annihilator of the
-    pairing matrix whose row j is x ↦ x∧x_j, laid out as the adjoint matrix
-    that gives Z(L) for the bracket.
+    L∧L = Λ²L / rowspace(d2), so x_i∧x_j has the q = dim L∧L coordinates of
+    row (i, j) of `rowspace.quotient_map()`.  The result is the annihilator of
+    the n x n·q pairing matrix whose row j is x ↦ x∧x_j, laid out by
+    :func:`~liemult.linalg.alternating` as Z(L)'s matrix is for the bracket.
     """
     series = L.series()
     if not series.is_nilpotent:
         raise ValueError("algebra is not nilpotent")
     n = L.dim
-    q = rowspace.ambient - rowspace.dim
     wedge = dict(zip(pair_basis(n), rowspace.quotient_map()._rows()))  # x_i∧x_j for i < j
-    wedge.update({(j, i): ([-v for v in w], d) for (i, j), (w, d) in wedge.items()})
-    pairing = []  # block i of row j is x_i∧x_j, over the lcm of the blocks' denominators
-    for j in range(n):
-        blocks = [wedge.get((i, j), ([0] * q, 1)) for i in range(n)]
-        den = lcm(*[d for _, d in blocks])
-        pairing.append(([x * (den // d) for w, d in blocks for x in w], den))
-    centre = annihilator(Matrix._from_rows(L.field, pairing, n * q))
+    centre = annihilator(alternating(L.field, n, wedge, rowspace.ambient - rowspace.dim))
     if not series.center.contains_subspace(centre):
         raise ComplexIntegrityError("exterior centre is not central: the rows of d2 are not im ∂₃")
     return centre

@@ -18,9 +18,9 @@ encodes them with :meth:`~liemult.fields.FieldSpec.encode`, which raises
 ``TypeError`` on an entry of another field; ``Matrix._from_rows`` stores
 integer rows, and ``_rows``, ``_flat`` and ``_dens`` read them back: that is
 the integer interface inside the package.  ``data`` decodes the rows into
-field scalars on each read and keeps nothing.  Every operation here, and the
-package's own matrices (the adjoint matrix, d2, the pairing matrix), read
-and build the integer form, so no field scalar is made between them.
+field scalars on each read and keeps nothing.  Every operation here, d2, and
+the matrices that ``alternating`` lays out (the adjoint and pairing matrices)
+read and build the integer form, so no field scalar is made between them.
 
 Everything is exact.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
@@ -247,6 +247,27 @@ def annihilator(m: Matrix) -> "Subspace":
     flat, _ = _common(m._flat, m._dens, c)
     columns = [(col, 1) for j in range(c) if any(col := flat[j::c])]
     return kernel(Matrix._from_rows(m.field, columns, m.rows))
+
+
+def alternating(field: FieldSpec, n: int, values: dict, width: int) -> Matrix:
+    """The n x n·width matrix of an alternating f: block i of row j is f(x_i, x_j).
+
+    ``values`` maps i < j to f(x_i, x_j) as (ints, den); f(x_j, x_i) is its
+    negative, f is zero on the diagonal and at an absent pair, and each row
+    is over the lcm of its blocks' denominators.
+    """
+    blocks: list[list] = [[] for _ in range(n)]
+    for (i, j), (ints, den) in values.items():
+        blocks[j].append((i, ints, den))
+        blocks[i].append((j, [-x for x in ints], den))
+    rows = []
+    for row_blocks in blocks:
+        den = lcm(*[d for _, _, d in row_blocks])
+        row = [0] * (n * width)
+        for i, ints, d in row_blocks:
+            row[i * width:(i + 1) * width] = ints if d == den else [x * (den // d) for x in ints]
+        rows.append((row, den))
+    return Matrix._from_rows(field, rows, n * width)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -255,9 +255,10 @@ def sl2(field):
 
 
 def test_ad_matches_table_references():
-    # structure_vector, bracket, bracket_span, center, both series chains and
-    # change_basis, all read off the adjoint matrix, against the pair-by-pair
-    # readings of the table in conftest
+    # structure_vector (read from the table), bracket, bracket_span, both
+    # series chains and change_basis (read off the adjoint matrix) and the
+    # center (the annihilator of the table at L^2's pivots), against the
+    # pair-by-pair readings of the table in conftest
     rng = random.Random(20261019)
     kinds = {"non-nilpotent": 0, "perfect": 0, "invalid": 0}
     for field in (QQ, gf(2), gf(3), G5):
@@ -373,9 +374,10 @@ def test_series_is_computed_once():
 
 
 def test_series_builds_each_ad_once(monkeypatch):
-    # every lower central step after L^2 is one product with the adjoint
-    # matrix, and so is [L^2, L^2]; Z(L) is the annihilator of that matrix's
-    # columns at L^2's pivots, and nothing calls ad
+    # L^2 is the span of the table's vectors; every lower central step after
+    # it is one product with the adjoint matrix, and so is [L^2, L^2]; Z(L)
+    # is the annihilator of the table's entries at L^2's pivots, laid out as
+    # ad(e_j) read at those pivots, and nothing calls ad
     import liemult.algebra as algebra
 
     calls, products, annihilated = [], [], []

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -268,6 +269,15 @@ def test_epicenter_over_rationals():
     assert epicenter(heisenberg(QQ, 1)).dim == 0
     for L in (heisenberg(QQ, 2), stem6_class3(QQ)):
         assert epicenter(L) == L.series().center
+    # in random bases the wedge rows carry several denominators, so the
+    # pairing rows are put over the lcm of their blocks'
+    h2 = LieAlgebra(QQ, 5, {(0, 1): (0, 0, 0, 0, Fraction(1, 3)), (2, 3): (0, 0, 0, 0, Fraction(2, 7))})
+    f3 = free_two_step(QQ, 3)
+    for s in (1, 2, 3):
+        L = h2.change_basis(random_invertible(QQ, 5, random.Random(s)))
+        centre = epicenter(L)
+        assert centre == L.series().center and centre.dim == 1, s
+        assert epicenter(f3.change_basis(random_invertible(QQ, f3.dim, random.Random(s)))).dim == 0, s
 
 
 def _random_two_step(field, rng):

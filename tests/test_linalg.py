@@ -18,7 +18,7 @@ from conftest import (
 
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.fields import Fp, gf, rationals
-from liemult.linalg import Matrix, Subspace, invert, kernel, random_invertible, rref
+from liemult.linalg import Matrix, Subspace, alternating, annihilator, invert, kernel, random_invertible, rref
 
 QQ = rationals()
 G5 = gf(5)
@@ -322,6 +322,69 @@ def test_prime_rref_matches_reference():
             assert r.basis == Matrix(field, scalars(field, grid[: len(pivots)]), cols=cols)
             assert not any(any(row) for row in grid[len(pivots):])
             assert all(type(x) is Fp for row in r.basis.data for x in row)
+
+
+# -- alternating maps vs a scalar layout ---------------------------------------
+
+def _rref_by_scalars(field, rows, cols):
+    """The reference elimination of rows of field scalars: (reduced rows as scalars, pivot columns)."""
+    if field.p is None:
+        return rref_by_fractions(rows, cols)
+    grid, pivots = rref_mod_p([[x.val for x in row] for row in rows], cols, field.p)
+    return scalars(field, grid), pivots
+
+
+def test_alternating_matches_a_scalar_layout():
+    # block i of row j is f(x_i, x_j): the given vector for i < j, its negative
+    # for i > j, zero on the diagonal and for an absent pair
+    rng = random.Random(29)
+    rational = [Fraction(x) for x in (-2, -1, 0, 1, 3)] + [Fraction(-1, 2), Fraction(2, 15), Fraction(5, 7)]
+    for field in (QQ, gf(2), gf(3), G5):
+        p = field.p
+        entries = [field.of(x) for x in range(p)] if p else rational
+        for n in range(7):
+            for width in range(4):
+                for case in range(4):
+                    vectors = {}
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            kind = rng.random()
+                            if kind < 0.25:
+                                continue  # absent
+                            vec = [field.zero] * width if kind < 0.4 else [rng.choice(entries) for _ in range(width)]
+                            vectors[(i, j)] = vec
+                    zero = [field.zero] * width
+                    grid = []
+                    for j in range(n):
+                        row = []
+                        for i in range(n):
+                            if (i, j) in vectors:
+                                row += vectors[(i, j)]
+                            elif (j, i) in vectors:
+                                row += [-x for x in vectors[(j, i)]]
+                            else:
+                                row += zero
+                        grid.append(row)
+                    values = {}
+                    for pair, vec in vectors.items():
+                        ints, den = field.encode(vec)
+                        k = 1 if p else rng.choice((1, 2, 3))  # over Q, not always in lowest terms
+                        values[pair] = ([x * k for x in ints], den * k)
+                    m = alternating(field, n, values, width)
+                    assert m.shape == (n, n * width)
+                    assert m.data == tuple(tuple(row) for row in grid), (field, n, width, case)
+                    # {x : x @ m = 0} is the right kernel of m's transpose
+                    reduced, pivots = _rref_by_scalars(field, [list(col) for col in zip(*grid)], n)
+                    kernel_rows = []
+                    for f in (c for c in range(n) if c not in pivots):
+                        vec = [field.zero] * n
+                        vec[f] = field.one
+                        for r, c in enumerate(pivots):
+                            vec[c] = -reduced[r][f]
+                        kernel_rows.append(vec)
+                    basis, kernel_pivots = _rref_by_scalars(field, kernel_rows, n)
+                    expected = Subspace(Matrix(field, basis[: len(kernel_pivots)], cols=n), tuple(kernel_pivots))
+                    assert annihilator(m) == expected, (field, n, width, case)
 
 
 def test_pivot_columns_shape():
