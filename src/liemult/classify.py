@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .algebra import LieAlgebra
 from .catalog import STEMS, Family
@@ -65,22 +66,27 @@ def has_rank2_member(L: LieAlgebra) -> bool:
     """Whether some member aB1 + bB2 of L's pencil of forms has rank 2 (class 2, dim L^2 = 2).
 
     B1, B2 are the coordinates of [x_i, x_j] along the RREF basis of L^2, on
-    the coordinates outside Z(L)'s pivots.  A member has rank 2 when its 4x4
+    the coordinates outside Z(L)'s pivots: the entries of the stored table at
+    L^2's pivots, read on ints over one common denominator (scaling both forms
+    by one unit changes no member's rank).  A member has rank 2 when its 4x4
     sub-Pfaffians, binary quadratics in (a, b), vanish: when (a^2, ab, b^2) is
     in the kernel of their coefficient rows.  Over the algebraic closure a
     kernel of dim >= 2 meets that conic, and a line (x, y, z) lies on it iff
-    y^2 = xz.  Nothing is enumerated, so the test is exact over Q and GF(p).
+    y^2 = xz, tested on the kernel row's ints (mod p over GF(p)).  Nothing is
+    enumerated, so the test is exact over Q and GF(p).
     """
     series = L.series()
     if series.nilpotency_class != 2 or series.derived_dim != 2:
         raise ValueError("has_rank2_member needs class 2 and dim L^2 = 2")
     c1, c2 = series.lower_central[1].pivots
     keep = [j for j in range(L.dim) if j not in series.center.pivots]
+    zero = ([0] * L.dim, 1)
+    brackets = {pair: L._table.get(pair, zero) for pair in combinations(keep, 2)}
+    den = lcm(*[d for _, d in brackets.values()])
 
-    coords = {}  # B1 and B2 at each pair: [x_i, x_j] read at L^2's pivots
-    for i, j in combinations(keep, 2):
-        v = L.structure_vector(i, j)
-        coords[i, j] = v[c1], v[c2]
+    coords = {}  # den·B1 and den·B2 at each pair: [x_i, x_j] read at L^2's pivots
+    for pair, (ints, d) in brackets.items():
+        coords[pair] = ints[c1] * (den // d), ints[c2] * (den // d)
 
     def product(p, q):  # (u1 a + v1 b)(u2 a + v2 b) as coefficients of a^2, ab, b^2
         (u1, v1), (u2, v2) = coords[p], coords[q]
@@ -89,12 +95,13 @@ def has_rank2_member(L: LieAlgebra) -> bool:
     rows = []
     for i, j, k, l in combinations(keep, 4):  # Pf = B_ij B_kl - B_ik B_jl + B_il B_jk
         terms = zip(product((i, j), (k, l)), product((i, k), (j, l)), product((i, l), (j, k)))
-        rows.append([s - t + u for s, t, u in terms])
-    null = kernel(Matrix(L.field, rows, cols=3))
+        rows.append(([s - t + u for s, t, u in terms], 1))
+    null = kernel(Matrix._from_rows(L.field, rows, 3))
     if null.dim != 1:
         return null.dim > 1
-    x, y, z = null.basis.data[0]
-    return y * y == x * z
+    (x, y, z), _ = null.basis._rows()[0]  # y^2 = xz is homogeneous, so the row's den cancels
+    p = L.field.p
+    return y * y == x * z if p is None else (y * y - x * z) % p == 0
 
 
 @dataclass(frozen=True)

@@ -73,17 +73,15 @@ def algebra_from_document(doc) -> LieAlgebra:
             raise DocumentError(f"duplicate bracket pair ({i}, {j})")
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise DocumentError(f"bracket ({i}, {j}) needs {dim} coefficients")
-        vec = []
-        for c in coeffs:
-            if not isinstance(c, str):
-                raise DocumentError(
-                    f"coefficients are exact scalar strings, got {c!r} in ({i}, {j})"
-                )
-            try:
-                vec.append(field.parse(c))
-            except ValueError as exc:
-                raise DocumentError(f"bracket ({i}, {j}): {exc}") from None
-        table[(i - 1, j - 1)] = vec
+        try:
+            table[(i - 1, j - 1)] = field.read_row(coeffs)
+        except TypeError:  # read_row stops at the first entry that is not a string
+            c = next(c for c in coeffs if not isinstance(c, str))
+            raise DocumentError(
+                f"coefficients are exact scalar strings, got {c!r} in ({i}, {j})"
+            ) from None
+        except ValueError as exc:
+            raise DocumentError(f"bracket ({i}, {j}): {exc}") from None
 
     labels = doc.get("labels")
     if labels is not None:
@@ -93,20 +91,18 @@ def algebra_from_document(doc) -> LieAlgebra:
             or not all(isinstance(s, str) for s in labels)
         ):
             raise DocumentError(f"labels must be {dim} strings")
-    try:
-        return LieAlgebra(field, dim, table, labels)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(str(exc)) from None
+        labels = tuple(labels)
+    return LieAlgebra._from_rows(field, dim, table, labels)
 
 
 def algebra_to_document(L: LieAlgebra) -> dict:
     brackets = []
-    for (i, j), vec in sorted(L.table.items()):
+    for (i, j), (ints, den) in L._table.items():  # in pair order
         brackets.append(
             {
                 "i": i + 1,
                 "j": j + 1,
-                "coeffs": [L.field.format(x) for x in vec],
+                "coeffs": L.field.format_row(ints, den),
             }
         )
     return {

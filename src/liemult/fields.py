@@ -7,8 +7,12 @@ and truthiness as the zero test, so code that computes on scalars (the
 closed forms, and the references in the tests) is written once,
 field-agnostically.
 
-:meth:`FieldSpec.parse` (documents) and :meth:`FieldSpec.of` (tables, vectors,
-parameters) run only where values enter the package.
+:meth:`FieldSpec.parse` (a catalog parameter) and :meth:`FieldSpec.of` (tables,
+vectors, parameters) run only where values enter the package; a document's
+literals are read by :meth:`FieldSpec.read_row` straight into codec rows and
+printed back by :meth:`FieldSpec.format_row`, with no scalar made.  So an
+:class:`Fp` is made only by :meth:`FieldSpec.of`, :meth:`FieldSpec.parse`
+and :meth:`FieldSpec.decode` (and once for each of ``zero`` and ``one``).
 
 Code that computes on Python ints goes through the integer codec,
 :meth:`FieldSpec.encode`, :meth:`FieldSpec.ratio` and :meth:`FieldSpec.decode`,
@@ -160,18 +164,51 @@ class FieldSpec:
         return isinstance(x, Fp) and x.p == self.p
 
     def parse(self, text: str) -> Scalar:
-        """Parse an exact scalar literal: "-3/4" or "12" (no floats)."""
-        text = text.strip()
-        if self.p is None:
+        """Parse an exact scalar literal: "-3/4" or "12" (no floats); see :meth:`read_row`."""
+        return self.decode(*self.read_row([text]))[0]
+
+    def read_row(self, texts: Sequence[str]) -> tuple[list[int], int]:
+        """Exact scalar literals ("-3/4", " 12 "; no floats) as one codec row (ints, den).
+
+        Over GF(p) a literal is an integer, read mod p, and den is 1; over Q
+        den is the lcm of the literals' denominators.  No scalar is made.
+        The first entry that is not a string raises TypeError, and the first
+        literal that is not exact raises ValueError.
+        """
+        nums, dens = [], []
+        p = self.p
+        for text in texts:
+            if not isinstance(text, str):
+                raise TypeError(f"not a string: {text!r}")
+            text = text.strip()
+            if p is not None:
+                if not _INT_RE.match(text):
+                    raise ValueError(f"not an integer literal: {text!r}")
+                nums.append(int(text) % p)
+                continue
             if not _RAT_RE.match(text):
                 raise ValueError(f"not an exact rational literal: {text!r}")
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator: {text!r}") from None
-        if not _INT_RE.match(text):
-            raise ValueError(f"not an integer literal: {text!r}")
-        return Fp(int(text), self.p)
+            num, _, den = text.partition("/")
+            den = int(den) if den else 1
+            if not den:
+                raise ValueError(f"zero denominator: {text!r}")
+            nums.append(int(num))
+            dens.append(den)
+        if p is not None:
+            return nums, 1
+        den = lcm(*dens)
+        return [x * (den // d) for x, d in zip(nums, dens)], den
+
+    def format_row(self, ints: Sequence[int], den: int) -> list[str]:
+        """The literals of the scalars ints / den, as :meth:`format` prints them, for a unit den.
+
+        Over GF(p) these are the residues, and no scalar is made.
+        """
+        p = self.p
+        if p is None:
+            return [str(x) for x in self.decode(ints, den)]
+        inv = pow(den, -1, p)
+        return [str(x * inv % p) for x in ints]
 
     def encode(self, row: Sequence[Scalar]) -> tuple[list[int], int]:
         """(ints, den) with row = ints / den, in the canonical form of

@@ -27,12 +27,18 @@ Everything is exact.  ``rref`` returns the row space of its matrix as a
 columns, which every caller reads instead of rescanning the rows.  Both
 fields share one elimination loop: fraction-free Gauss-Jordan on Python
 ints (Bareiss, Math. Comp. 1968), with gcd-reduced multipliers in place of
-Bareiss's exact division.  Only the row update depends on the field: a
-rational row is kept primitive (divided by the gcd of its entries), a GF(p)
-row is reduced mod p; each pivot row is stored over its pivot.  A product
-``a @ b`` reads b over one common denominator and sums each entry on ints
-over b's nonzero columns only; each output row is stored over the product
-of the two denominators.
+Bareiss's exact division.  A row update touches only the columns where
+the pivot row is nonzero, as those are all it can change.  Only the update
+depends on the field.  Over GF(p) the pivot row is first scaled by the
+inverse of its pivot, each other row loses f times it, reduced mod p, and
+each pivot row is stored over 1.  Over Q a row whose multiplier ``a`` is 1
+loses f times the pivot row on that support, any other row becomes
+``a·row − f·pivot row`` in full, each new row is kept primitive (divided by
+the gcd of its entries), and each pivot row is stored over its pivot.
+
+A product ``a @ b`` reads b over one common denominator and sums each entry
+on ints over b's nonzero columns only; each output row is stored over the
+product of the two denominators.
 """
 
 from __future__ import annotations
@@ -176,14 +182,20 @@ def _common(flat: list[int], dens: list[int], cols: int) -> tuple[list[int], int
 def _gauss_jordan(rows: list[list[int]], cols: int, p: int | None) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivot columns.
 
-    Row i is cleared at a pivot column by ``a·row_i − f·row_pivot`` with
-    ``a`` and ``f`` first divided by ``gcd(piv, f)``; over Q the new row is
-    made primitive (divided by the gcd of its entries), over GF(p) it is
-    reduced mod p.  ``a`` divides the pivot, a nonzero integer or a residue
-    in [1, p), so it is a unit of the field, and each row stays a nonzero
-    multiple of the row that elimination on field entries would hold: the
-    same pivots are chosen, and dividing each pivot row by its pivot gives
-    the canonical RREF.
+    When column c gets its pivot at row r, rows r.. are zero in every column
+    before c: each earlier column was either cleared as a pivot column or had
+    no nonzero entry at or below r.  So the pivot row is zero before c, and
+    clearing row i at c changes only the columns where the pivot row is
+    nonzero.  Over GF(p) the pivot row is first scaled by its pivot's
+    inverse, and each other row becomes ``row_i − f·row_pivot`` mod p on the
+    pivot row's support.  Over Q row i becomes ``a·row_i − f·row_pivot``
+    with ``a`` and ``f`` first divided by ``gcd(piv, f)``, on the pivot row's
+    support when ``a == 1`` and on the whole row otherwise, and is then made
+    primitive (divided by the gcd of its entries).  ``a`` divides the pivot,
+    a nonzero integer, so each row stays a nonzero multiple of the row that
+    elimination on field entries would hold: the same pivots are chosen, and
+    dividing each pivot row by its pivot gives the canonical RREF (over
+    GF(p) the pivots are 1 already).
     """
     pivots: list[int] = []
     r = 0
@@ -198,15 +210,27 @@ def _gauss_jordan(rows: list[list[int]], cols: int, p: int | None) -> list[int]:
             rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
         piv = prow[c]
+        if p is not None and piv != 1:
+            inv = pow(piv, -1, p)
+            prow[c:] = [y * inv % p for y in prow[c:]]
+        support = [(j, y) for j in range(c, cols) if (y := prow[j])]
         for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(piv, f)
-                a, f = piv // g, f // g
-                if p is None:
-                    rows[i] = _primitive([a * x - f * y for x, y in zip(rows[i], prow)])
-                else:
-                    rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p is not None:
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
+                continue
+            g = gcd(piv, f)
+            a, f = piv // g, f // g
+            if a == 1:
+                for j, y in support:
+                    row[j] -= f * y
+                rows[i] = _primitive(row)
+            else:
+                rows[i] = _primitive([a * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
     return pivots

@@ -2,14 +2,23 @@ import random
 
 import pytest
 
-from conftest import heisenberg, intersect, out_of_scope_algebra, rank2_stem_zoo, stem6_class3, stem7_rank2
+from conftest import (
+    heisenberg,
+    intersect,
+    out_of_scope_algebra,
+    random_rank2_stem,
+    rank2_member_by_enumeration,
+    rank2_stem_zoo,
+    stem6_class3,
+    stem7_rank2,
+)
 
 from liemult import LieAlgebra, direct_sum
 from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.classify import classify, has_rank2_member, stem_decompose
 from liemult.formulas import functor_report
 from liemult.fields import gf, rationals
-from liemult.linalg import random_invertible
+from liemult.linalg import Matrix, random_invertible
 
 QQ = rationals()
 G2 = gf(2)
@@ -221,3 +230,40 @@ def test_rank2_zoo_members_are_rank2_stems():
         assert rep.derived_dim == 2, name
         assert rep.nilpotency_class == 2, name
         assert rep.center == rep.lower_central[1], name  # Z = L^2: stem, rank 2
+
+
+def test_integer_pencil_test_matches_enumeration():
+    # seeded class-2 stems with dim L^2 = 2 of dim 7-9, every second one in a
+    # random basis, against the p + 1 members of the pencil over GF(p)
+    rng = random.Random(30)
+    for field in (G2, G3, G5):
+        for k in range(12):
+            L = random_rank2_stem(field, 7 + k % 3, rng)
+            if k % 2:
+                L = L.change_basis(random_invertible(field, L.dim, rng))
+            assert has_rank2_member(L) == rank2_member_by_enumeration(L), (field, k)
+
+
+def test_integer_pencil_test_is_invariant_under_rational_scaling():
+    # a diagonal basis change with denominators 3 and 7 puts the table over
+    # several denominators, and a random basis change after it mixes them;
+    # the verdict is that of the given basis, and L1 (no rank-2 member) is
+    # still classified as L1, capable
+    scale = [QQ.parse(s) for s in ("1/3", "2/7", "-1", "3", "5/21", "1/7", "-7/3", "1", "4/3")]
+
+    def diagonal(n):
+        return Matrix(QQ, [[scale[i % len(scale)] if i == j else QQ.zero for j in range(n)] for i in range(n)])
+
+    rng = random.Random(30)
+    L1 = make_catalog(CatalogId(Family.L1), QQ)
+    cases = rank2_stem_zoo(QQ) + [("L1", L1)]
+    cases += [(f"random{s}", random_rank2_stem(QQ, s, rng)) for s in (7, 8, 9, 7, 8, 9)]
+    for name, L in cases:
+        moved = L.change_basis(diagonal(L.dim))
+        assert moved.table != L.table, name
+        assert has_rank2_member(moved) == has_rank2_member(L), name
+        dense = moved.change_basis(random_invertible(QQ, L.dim, rng))
+        assert has_rank2_member(dense) == has_rank2_member(L), name
+    c = classify(L1.change_basis(diagonal(L1.dim)))
+    assert c.family is Family.L1 and c.rank2_member is False
+    assert functor_report(c).capable is True

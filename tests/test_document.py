@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,8 +10,10 @@ from liemult.document import (
     algebra_to_document,
     document_digest,
     dumps_algebra,
+    field_to_json,
     loads_algebra,
 )
+from liemult.algebra import LieAlgebra
 from liemult.fields import gf, rationals
 
 QQ = rationals()
@@ -122,3 +125,51 @@ def test_digest_stability():
     assert d1 == d2 and len(d1) == 64
     other = make_catalog(CatalogId(Family.L5_5), QQ)
     assert document_digest(algebra_to_document(other)) != d1
+
+
+def _document_by_scalars(L):
+    """The document of L written from its decoded table with field.format."""
+    brackets = [{"i": i + 1, "j": j + 1, "coeffs": [L.field.format(x) for x in vec]}
+                for (i, j), vec in sorted(L.table.items())]
+    return {"field": field_to_json(L.field), "dim": L.dim, "brackets": brackets, "labels": list(L.labels)}
+
+
+def test_residue_reader_matches_the_scalar_path():
+    # literals read straight into codec rows give the algebra, the document
+    # and the digest that parsing each literal into a scalar gives
+    rng = random.Random(30)
+    literals = ["-3", "+7", " 12 ", "-0", "0", "1234567890123456789012345678901234567890"]
+    for field in (gf(2), gf(5), gf(7), QQ):
+        pool = literals + (["-4/6", " 3/7 ", "+10/15"] if field == QQ else [])
+        for n in range(2, 6):
+            brackets = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.7:
+                        brackets[(i, j)] = [rng.choice(pool) for _ in range(n)]
+            doc = {"field": field_to_json(field), "dim": n,
+                   "brackets": [{"i": i + 1, "j": j + 1, "coeffs": c} for (i, j), c in brackets.items()]}
+            read = loads_algebra(json.dumps(doc))
+            parsed = LieAlgebra(field, n, {pair: [field.parse(c) for c in cs] for pair, cs in brackets.items()})
+            assert read._table == parsed._table and read._adjoint == parsed._adjoint
+            assert read.table == parsed.table
+            assert dumps_algebra(read) == dumps_algebra(parsed) == json.dumps(_document_by_scalars(parsed), indent=2) + "\n"
+            assert document_digest(algebra_to_document(read)) == document_digest(_document_by_scalars(parsed))
+
+
+def test_literal_errors_keep_their_messages():
+    cases = [
+        ({"prime": 5}, ["0", "1/2"], "bracket (1, 2): not an integer literal: '1/2'"),
+        ({"prime": 5}, ["1/2", 3], "bracket (1, 2): not an integer literal: '1/2'"),
+        ({"prime": 5}, [3, "1/2"], "coefficients are exact scalar strings, got 3 in (1, 2)"),
+        ("rationals", ["1.5", "0"], "bracket (1, 2): not an exact rational literal: '1.5'"),
+        ("rationals", ["0", 1], "coefficients are exact scalar strings, got 1 in (1, 2)"),
+        ("rationals", [None, "1/0"], "coefficients are exact scalar strings, got None in (1, 2)"),
+        ("rationals", [" 1/0 ", "0"], "bracket (1, 2): zero denominator: '1/0'"),
+        ("rationals", ["x", "1/0"], "bracket (1, 2): not an exact rational literal: 'x'"),
+    ]
+    for field, coeffs, message in cases:
+        doc = {"field": field, "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]}
+        with pytest.raises(DocumentError) as err:
+            algebra_from_document(doc)
+        assert str(err.value) == message

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,3 +446,68 @@ def test_rref_rational_matches_fraction_reference():
         assert r.basis == Matrix(QQ, grid[: len(pivots)], cols=m.cols)
         assert not any(any(row) for row in grid[len(pivots):])
         assert all(type(x) is Fraction for row in r.basis.data for x in row)
+
+
+# -- the pivot-row support update vs both references ---------------------------
+
+def _elimination_rows(rng, r, c, entry):
+    """r x c rows of entry(): zero rows, a zero column, repeated rows, and rows
+    that vanish partway (combinations of two earlier rows, so they are cleared
+    once those rows' pivots have been used)."""
+    dead = rng.randrange(c) if c else None
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * c
+        elif rows and kind < 0.2:
+            row = list(rng.choice(rows))
+        elif len(rows) > 1 and kind < 0.45:
+            u, v = rng.sample(rows, 2)
+            a, b = entry(), entry()
+            row = [a * x + b * y for x, y in zip(u, v)]
+        else:
+            row = [entry() if rng.random() < 0.6 else 0 for _ in range(c)]
+        if dead is not None:
+            row[dead] = 0
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def _elimination_shapes(rng):
+    """Small random shapes, tall n·q x n, wide C(k,3) x C(n,2), and 0 x m."""
+    shapes = [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(40)]
+    shapes += [(n * q, n) for n, q in ((4, 3), (5, 4), (6, 2))]
+    shapes += [(comb(k, 3), comb(n, 2)) for k, n in ((4, 6), (5, 7), (6, 8))]
+    shapes += [(0, m) for m in range(4)]
+    return shapes
+
+
+def test_elimination_matches_both_references_on_every_shape():
+    # the support update and the GF(p) pivot scaling against Gauss-Jordan on
+    # field entries: pivots other than 1 everywhere, and over Q pivots that do
+    # not divide the entry they clear (2 against 3, 3/7 against 5)
+    rng = random.Random(30)
+    for p in (2, 3, 5, 7):
+        field = gf(p)
+        for r, c in _elimination_shapes(rng):
+            rows = _elimination_rows(rng, r, c, lambda: rng.randrange(1, p))
+            grid, pivots = rref_mod_p(rows, c, p)
+            got = rref(Matrix(field, scalars(field, rows), cols=c))
+            assert got.pivots == tuple(pivots), (p, rows)
+            assert got.basis == Matrix(field, scalars(field, grid[: len(pivots)]), cols=c), (p, rows)
+    values = [Fraction(v) for v in (2, 3, -2, -3, 5, -6)] + [Fraction(3, 7), Fraction(-5, 2), Fraction(4, 9)]
+    for r, c in _elimination_shapes(rng):
+        rows = _elimination_rows(rng, r, c, lambda: rng.choice(values))
+        rows = [[Fraction(x) for x in row] for row in rows]
+        grid, pivots = rref_by_fractions([list(row) for row in rows], c)
+        got = rref(Matrix(QQ, rows, cols=c))
+        assert got.pivots == tuple(pivots), rows
+        assert got.basis == Matrix(QQ, grid[: len(pivots)], cols=c), rows
+    # a pivot that does not divide the entry below it, in a row that later vanishes
+    rows = [[Fraction(2), Fraction(1), Fraction(0)], [Fraction(3), Fraction(5), Fraction(1)],
+            [Fraction(5), Fraction(6), Fraction(1)]]
+    grid, pivots = rref_by_fractions([list(row) for row in rows], 3)
+    assert rref(Matrix(QQ, rows)).basis == Matrix(QQ, grid[: len(pivots)], cols=3)
+    assert rref(Matrix(QQ, rows)).dim == 2
