@@ -75,10 +75,9 @@ def algebra_from_document(doc) -> LieAlgebra:
             raise DocumentError(f"bracket ({i}, {j}) needs {dim} coefficients")
         try:
             table[(i - 1, j - 1)] = field.read_row(coeffs)
-        except TypeError:  # read_row stops at the first entry that is not a string
-            c = next(c for c in coeffs if not isinstance(c, str))
+        except TypeError as exc:  # carries the first entry that is not a string
             raise DocumentError(
-                f"coefficients are exact scalar strings, got {c!r} in ({i}, {j})"
+                f"coefficients are exact scalar strings, got {exc.args[0]!r} in ({i}, {j})"
             ) from None
         except ValueError as exc:
             raise DocumentError(f"bracket ({i}, {j}): {exc}") from None

@@ -172,14 +172,15 @@ class FieldSpec:
 
         Over GF(p) a literal is an integer, read mod p, and den is 1; over Q
         den is the lcm of the literals' denominators.  No scalar is made.
-        The first entry that is not a string raises TypeError, and the first
-        literal that is not exact raises ValueError.
+        The first entry that is not a string raises TypeError with that entry
+        as its one argument, and the first literal that is not exact raises
+        ValueError.
         """
         nums, dens = [], []
         p = self.p
         for text in texts:
             if not isinstance(text, str):
-                raise TypeError(f"not a string: {text!r}")
+                raise TypeError(text)
             text = text.strip()
             if p is not None:
                 if not _INT_RE.match(text):

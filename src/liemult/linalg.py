@@ -31,10 +31,10 @@ Bareiss's exact division.  A row update touches only the columns where
 the pivot row is nonzero, as those are all it can change.  Only the update
 depends on the field.  Over GF(p) the pivot row is first scaled by the
 inverse of its pivot, each other row loses f times it, reduced mod p, and
-each pivot row is stored over 1.  Over Q a row whose multiplier ``a`` is 1
-loses f times the pivot row on that support, any other row becomes
-``a·row − f·pivot row`` in full, each new row is kept primitive (divided by
-the gcd of its entries), and each pivot row is stored over its pivot.
+each pivot row is stored over 1.  Over Q a row is first scaled by its
+multiplier ``a`` (when ``a`` is not 1), then loses f times the pivot row on
+that support, and is kept primitive (divided by the gcd of its entries);
+each pivot row is stored over its pivot.
 
 A product ``a @ b`` reads b over one common denominator and sums each entry
 on ints over b's nonzero columns only; each output row is stored over the
@@ -189,13 +189,13 @@ def _gauss_jordan(rows: list[list[int]], cols: int, p: int | None) -> list[int]:
     nonzero.  Over GF(p) the pivot row is first scaled by its pivot's
     inverse, and each other row becomes ``row_i − f·row_pivot`` mod p on the
     pivot row's support.  Over Q row i becomes ``a·row_i − f·row_pivot``
-    with ``a`` and ``f`` first divided by ``gcd(piv, f)``, on the pivot row's
-    support when ``a == 1`` and on the whole row otherwise, and is then made
-    primitive (divided by the gcd of its entries).  ``a`` divides the pivot,
-    a nonzero integer, so each row stays a nonzero multiple of the row that
-    elimination on field entries would hold: the same pivots are chosen, and
-    dividing each pivot row by its pivot gives the canonical RREF (over
-    GF(p) the pivots are 1 already).
+    with ``a`` and ``f`` first divided by ``gcd(piv, f)``: scaled by ``a``,
+    then cleared on the pivot row's support, then made primitive (divided
+    by the gcd of its entries).  ``a`` divides the pivot, a nonzero integer,
+    so each row stays a nonzero multiple of the row that elimination on
+    field entries would hold: the same pivots are chosen, and dividing each
+    pivot row by its pivot gives the canonical RREF (over GF(p) the pivots
+    are 1 already).
     """
     pivots: list[int] = []
     r = 0
@@ -213,24 +213,25 @@ def _gauss_jordan(rows: list[list[int]], cols: int, p: int | None) -> list[int]:
         if p is not None and piv != 1:
             inv = pow(piv, -1, p)
             prow[c:] = [y * inv % p for y in prow[c:]]
-        support = [(j, y) for j in range(c, cols) if (y := prow[j])]
+        support = None  # built once the first row needs clearing
         for i in range(nrows):
             row = rows[i]
             f = row[c]
             if not f or i == r:
                 continue
+            if support is None:
+                support = [(j, y) for j in range(c, cols) if (y := prow[j])]
             if p is not None:
                 for j, y in support:
                     row[j] = (row[j] - f * y) % p
                 continue
             g = gcd(piv, f)
             a, f = piv // g, f // g
-            if a == 1:
-                for j, y in support:
-                    row[j] -= f * y
-                rows[i] = _primitive(row)
-            else:
-                rows[i] = _primitive([a * x - f * y for x, y in zip(row, prow)])
+            if a != 1:
+                row = [a * x for x in row]
+            for j, y in support:
+                row[j] -= f * y
+            rows[i] = _primitive(row)
         pivots.append(c)
         r += 1
     return pivots
