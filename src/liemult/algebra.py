@@ -32,7 +32,10 @@ Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
 coordinates of the given basis.  An algebra and its table are read-only,
 so :meth:`LieAlgebra.series` and :meth:`LieAlgebra.validate` are each
-computed once per algebra, and L^2 and Z(L) are read from the series.
+computed once per algebra, and L^2 and Z(L) are read from the series.  At
+nilpotency class 2 or 3 the derived series is L, L^2, 0 with no product, as
+[L^2, L^2] lies in L^4 = 0; the general loop runs only at class >= 4 and
+on algebras that are not nilpotent.
 """
 
 from __future__ import annotations
@@ -186,6 +189,8 @@ class LieAlgebra:
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
+        if cls in (2, 3):  # [L^2, L^2] lies in L^4 = 0
+            derived.append(lower[-1])
         while len(derived) > 1 and derived[-1].dim:
             nxt = self.bracket_span(derived[-1], derived[-1])
             if nxt.dim == derived[-1].dim:
@@ -195,6 +200,8 @@ class LieAlgebra:
         # L^2's pivots are: Z(L) annihilates the table read at those d columns
         pivots = lower[min(1, len(lower) - 1)].pivots
         at_pivots = {pair: ([ints[c] for c in pivots], den) for pair, (ints, den) in self._table.items()}
+        if field.p is None:  # over Q those entries may share a factor with den
+            at_pivots = {pair: field.canonical(*row) for pair, row in at_pivots.items()}
         center = annihilator(alternating(field, n, at_pivots, len(pivots)))
         series = SeriesReport(tuple(lower), tuple(derived), center, cls)
         object.__setattr__(self, "_series", series)

@@ -50,7 +50,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .algebra import JacobiViolation, LieAlgebra, reduce_mod_p
-from .linalg import Matrix, Subspace, alternating, annihilator, rref
+from .linalg import Matrix, Subspace, _Codec, alternating, annihilator, rref
 
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
@@ -120,6 +120,8 @@ def _residual(row_den: int, row: dict, L: LieAlgebra) -> tuple | None:
             d = row_den * den
             acc = groups.get(d)
             groups[d] = [-a * b for b in vec] if acc is None else [x - a * b for x, b in zip(acc, vec)]
+    if field.p is not None:  # one group, over 1: reduce it before the zero test
+        groups = {d: [x % field.p for x in acc] for d, acc in groups.items()}
     nonzero = [(d, acc) for d, acc in groups.items() if any(acc)]
     if not nonzero:
         return None
@@ -184,21 +186,25 @@ def cochain_complex(L: LieAlgebra) -> Matrix:
     series = L.series()
     pairs = pair_basis(L.dim)
     column = {pq: c for c, pq in enumerate(pairs)}
-    rows = []
-    for den, entries in _noncentral_rows(L):
-        row = [0] * len(column)
+    width, d2 = len(column), _noncentral_rows(L)
+    flat = [0] * (width * len(d2))  # the d2 rows, canonical as _d2_rows yields them; the wedges are not
+    dens = []
+    for r, (den, entries) in enumerate(d2):
         for pq, c in entries.items():
-            row[column[pq]] = c
-        rows.append((row, den))
+            flat[r * width + column[pq]] = c
+        dens.append(den)
     us = list(zip(series.derived.basis._rows(), series.derived.pivots))
     cs = list(zip(series.center.basis._rows(), series.center.pivots))
     shared = {pivot for u, pivot in us if (u, pivot) in cs}  # rows of both RREF bases
+    canonical = L.field.canonical
     for (u, du), pu in us:
         for (c, dc), pc in cs:
             if pu in shared and pc in shared and pu >= pc:
                 continue  # u∧u = 0, and c∧u = -u∧c is kept once
-            rows.append(([u[i] * c[j] - u[j] * c[i] for i, j in pairs], du * dc))
-    return Matrix._from_rows(L.field, rows, len(column))
+            ints, den = canonical([u[i] * c[j] - u[j] * c[i] for i, j in pairs], du * dc)
+            flat += ints
+            dens.append(den)
+    return Matrix(L.field, _Codec(flat, dens), width)
 
 
 def schur_dim_oracle(L: LieAlgebra) -> int:

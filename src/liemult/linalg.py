@@ -21,6 +21,11 @@ the integer interface inside the package.  ``data`` decodes the rows into
 field scalars on each read and keeps nothing.  Every operation here, d2, and
 the matrices that ``alternating`` lays out (the adjoint and pairing matrices)
 read and build the integer form, so no field scalar is made between them.
+``rref``, the quotient map, ``identity``, ``alternating``, ``annihilator``'s
+columns and d2's rows are canonical by construction (each docstring says
+why) and pass a ``_Codec`` to the same constructor; ``canonical`` runs only
+on other rows: through ``_from_rows`` for products, ``transpose``,
+``invert`` and rows read off a product, and on d2's wedges.
 
 Everything is exact.  ``rref`` returns the row space of its matrix as a
 :class:`Subspace`: the nonzero rows of the reduced form and their pivot
@@ -120,7 +125,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls._from_rows(field, [([int(i == j) for j in range(n)], 1) for i in range(n)], n)
+        """The n x n identity, built canonical: unit rows over 1."""
+        return cls(field, _Codec([int(i == j) for i in range(n) for j in range(n)], [1] * n), n)
 
     def transpose(self) -> "Matrix":
         c = self.cols
@@ -247,7 +253,10 @@ def rref(m: Matrix) -> "Subspace":
     """The row space of m: its reduced row echelon basis and pivot columns.
 
     The basis holds the pivot rows only, so the rank is ``rref(m).dim``.
-    Only the row space is read, so the row denominators are dropped.
+    Only the row space is read, so the row denominators are dropped.  Each
+    basis row is built canonical, as itself over its pivot entry: over
+    GF(p) the pivot is 1 and every entry a residue, and over Q every row is
+    primitive, so the only fix is the sign, as a negative pivot negates it.
     """
     field, p, c = m.field, m.field.p, m.cols
     flat = m._flat
@@ -255,7 +264,10 @@ def rref(m: Matrix) -> "Subspace":
     if p is None:  # stored GF(p) rows are residues already
         rows = [_primitive(row) for row in rows]
     pivots = _gauss_jordan(rows, c, p)
-    return Subspace(Matrix._from_rows(field, ((row, row[j]) for row, j in zip(rows, pivots)), c), tuple(pivots))
+    flat = []
+    for row, j in zip(rows, pivots):
+        flat += row if row[j] > 0 else [-x for x in row]
+    return Subspace(Matrix(field, _Codec(flat, [abs(row[j]) for row, j in zip(rows, pivots)]), c), tuple(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -267,32 +279,39 @@ def annihilator(m: Matrix) -> "Subspace":
     """{x : x @ m = 0}: the kernel of m's nonzero columns.
 
     The columns are read over one denominator; scaling a row keeps its kernel.
+    They are built canonical: integers over 1 (residues, over GF(p)).
     """
     c = m.cols
     flat, _ = _common(m._flat, m._dens, c)
-    columns = [(col, 1) for j in range(c) if any(col := flat[j::c])]
-    return kernel(Matrix._from_rows(m.field, columns, m.rows))
+    columns = [col for j in range(c) if any(col := flat[j::c])]
+    return kernel(Matrix(m.field, _Codec([x for col in columns for x in col], [1] * len(columns)), m.rows))
 
 
 def alternating(field: FieldSpec, n: int, values: dict, width: int) -> Matrix:
     """The n x n·width matrix of an alternating f: block i of row j is f(x_i, x_j).
 
-    ``values`` maps i < j to f(x_i, x_j) as (ints, den); f(x_j, x_i) is its
-    negative, f is zero on the diagonal and at an absent pair, and each row
-    is over the lcm of its blocks' denominators.
+    ``values`` maps i < j to f(x_i, x_j) as a canonical (ints, den); f(x_j,
+    x_i) is its negative, f is zero on the diagonal and at an absent pair,
+    and each row is over the lcm of its blocks' denominators.  The rows are
+    built canonical: over GF(p) every den is 1 and a negated residue x is
+    p - x, and over Q an lcm of canonical blocks is in lowest terms, as for
+    each prime dividing it the block carrying its full power has an entry
+    prime to it and a scale factor prime to it.
     """
+    p, w = field.p, n * width
     blocks: list[list] = [[] for _ in range(n)]
     for (i, j), (ints, den) in values.items():
         blocks[j].append((i, ints, den))
-        blocks[i].append((j, [-x for x in ints], den))
-    rows = []
-    for row_blocks in blocks:
+        blocks[i].append((j, [-x for x in ints] if p is None else [p - x if x else 0 for x in ints], den))
+    flat = [0] * (n * w)
+    dens = []
+    for j, row_blocks in enumerate(blocks):
         den = lcm(*[d for _, _, d in row_blocks])
-        row = [0] * (n * width)
         for i, ints, d in row_blocks:
-            row[i * width:(i + 1) * width] = ints if d == den else [x * (den // d) for x in ints]
-        rows.append((row, den))
-    return Matrix._from_rows(field, rows, n * width)
+            start = j * w + i * width
+            flat[start:start + width] = ints if d == den else [x * (den // d) for x in ints]
+        dens.append(den)
+    return Matrix(field, _Codec(flat, dens), w)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -347,21 +366,24 @@ class Subspace:
         the free part of its basis row when i is a pivot, as that row is e_i
         plus its free part.  The kernel is exactly U: ``v @ map`` is v minus
         the basis rows scaled by v's pivot entries, read on the free columns.
-        A basis row's free part keeps its denominator, as its pivot entry is 1.
+        The rows are built canonical: unit rows over 1, and a basis row's free
+        part over its den, in lowest terms as the pivot entry (1) equals den;
+        over GF(p) a nonzero residue x negates to p - x.
         """
-        n = self.ambient
-        flat, dens = self.basis._flat, self.basis._dens
+        n, p = self.ambient, self.field.p
+        basis, basis_dens = self.basis._flat, self.basis._dens
         pivot_row = {c: r for r, c in enumerate(self.pivots)}
         free = [c for c in range(n) if c not in pivot_row]
-        rows = []
+        flat: list[int] = []
         for i in range(n):
             r = pivot_row.get(i)
             if r is None:
-                rows.append(([int(f == i) for f in free], 1))
+                flat += [int(f == i) for f in free]
             else:
-                row = flat[r * n:(r + 1) * n]
-                rows.append(([-row[f] for f in free], dens[r]))
-        return Matrix._from_rows(self.field, rows, len(free))
+                part = [basis[r * n + f] for f in free]
+                flat += [-x for x in part] if p is None else [p - x if x else 0 for x in part]
+        dens = [basis_dens[pivot_row[i]] if i in pivot_row else 1 for i in range(n)]
+        return Matrix(self.field, _Codec(flat, dens), len(free))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         """Whether other lies in self: other's basis times the quotient map is zero.

@@ -21,7 +21,9 @@ bracket off its adjoint matrix; no reference calls the code it checks.
 `scalars` coerces literal rows into a field, as a `Matrix` requires.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
-`random_class3` class-3 algebras with dim L^2 = 2;
+`random_class3` class-3 algebras with dim L^2 = 2; `filiform` and
+`strictly_upper_triangular` are class-4 inputs (for n = 5 and m = 5) whose
+derived series takes the general loop;
 `class2_pencils` and `class3_normal_forms` enumerate every class-2 pencil
 and class-3 normal form of a given size over GF(p) for the exhaustive
 boxes, and `box_verdicts` cross-checks each algebra of a box and tallies
@@ -142,6 +144,31 @@ def random_class3(field: FieldSpec, g: int, rng) -> LieAlgebra:
             if rng.random() < 0.5:
                 vec[g + 1] = rng.choice(nonzero)
             table[(i, j)] = vec
+    return LieAlgebra(field, n, table)
+
+
+def filiform(field: FieldSpec, n: int) -> LieAlgebra:
+    """The standard filiform algebra: [x1, x_i] = x_{i+1} for 2 <= i < n, of class n - 1."""
+    return LieAlgebra(field, n, {(0, i): unit(n, i + 1) for i in range(1, n - 1)})
+
+
+def strictly_upper_triangular(field: FieldSpec, m: int) -> LieAlgebra:
+    """n_m, the strictly upper-triangular m x m matrices: [E_ij, E_jk] = E_ik, basis E_ij in pair order.
+
+    Its class is m - 1, and at m = 5 (dim 10) [L^2, L^2] = span E_15 is not 0.
+    """
+    basis = list(combinations(range(m), 2))
+    n = len(basis)
+    table = {}
+    for a, b in combinations(range(n), 2):
+        (i, j), (k, l) = basis[a], basis[b]
+        vec = [0] * n
+        if j == k:
+            vec[basis.index((i, l))] = 1
+        if l == i:
+            vec[basis.index((k, j))] = -1
+        if any(vec):
+            table[(a, b)] = vec
     return LieAlgebra(field, n, table)
 
 

@@ -9,13 +9,17 @@ from conftest import (
     bracket_by_table,
     center_by_equations,
     change_basis_by_pairs,
+    filiform,
     heisenberg,
     jacobi_breaker,
     jacobi_residuals_by_brackets,
     non_nilpotent,
+    random_class3,
+    random_rank2_stem,
     rank2_stem_zoo,
     scalars,
     series_by_brackets,
+    strictly_upper_triangular,
     unit,
 )
 
@@ -375,7 +379,8 @@ def test_series_is_computed_once():
 
 def test_series_builds_each_ad_once(monkeypatch):
     # L^2 is the span of the table's vectors; every lower central step after
-    # it is one product with the adjoint matrix, and so is [L^2, L^2]; Z(L)
+    # it is one product with the adjoint matrix; [L^2, L^2] takes none at
+    # class 3, as it lies in L^4 = 0; Z(L)
     # is the annihilator of the table's entries at L^2's pivots, laid out as
     # ad(e_j) read at those pivots, and nothing calls ad
     import liemult.algebra as algebra
@@ -394,11 +399,35 @@ def test_series_builds_each_ad_once(monkeypatch):
         assert L.series().center.dim == 3
         assert calls == []
         steps = len(L.series().lower_central) - 2  # L^3 and L^4, each from the term before
-        assert sum(m is L._adjoint for m in products) == steps + 1  # and [L^2, L^2]
+        assert sum(m is L._adjoint for m in products) == steps
         (m,) = annihilated  # Z(L), the one annihilator of the series
         pivots = L.derived_subalgebra().pivots
         rows = [[row[c] for row in real_ad(L, e).data for c in pivots] for e in Matrix.identity(field, 6).data]
         assert m == Matrix(field, rows, cols=6 * len(pivots))  # row j is ad(e_j) at L^2's pivots
+
+
+def test_series_shortcut_matches_brackets(monkeypatch):
+    # at class 2 and 3 [L^2, L^2] lies in L^4 = 0, so the derived series is
+    # L, L^2, 0 with no bracket_span; class 4 and the non-nilpotent still
+    # take the general loop, which finds [L^2, L^2] != 0 on n_5
+    spans = []
+    real = LieAlgebra.bracket_span
+    monkeypatch.setattr(LieAlgebra, "bracket_span", lambda self, u, v: spans.append(u) or real(self, u, v))
+    rng = random.Random(20261032)
+    derived_dims = set()
+    for field in (QQ, gf(2), gf(3), G5):
+        cases = [(random_class3(field, g, rng), 3) for g in range(2, 6)]
+        cases += [(random_rank2_stem(field, s, rng), 2) for s in (5, 6)]
+        cases += [(filiform(field, 5), 4), (strictly_upper_triangular(field, 5), 4), (non_nilpotent(field), None)]
+        for base, cls in cases:
+            L = base.change_basis(random_invertible(field, base.dim, rng))
+            spans.clear()
+            series = L.series()
+            assert series.nilpotency_class == cls, (field, cls)
+            assert (series.lower_central, series.derived_series) == series_by_brackets(L), (field, cls)
+            assert (spans == []) == (cls in (2, 3)), (field, cls)
+            derived_dims.add(series.derived_series_dims())
+    assert {(5, 3, 0), (10, 6, 1, 0)} <= derived_dims  # filiform and n_5
 
 
 def test_quotient_by_zero_is_isomorphic_copy():

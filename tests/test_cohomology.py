@@ -11,6 +11,7 @@ from conftest import (
     free_two_step,
     heisenberg,
     jacobi_breaker,
+    jacobi_residuals_by_brackets,
     non_nilpotent,
     out_of_scope_algebra,
     random_class3,
@@ -74,6 +75,36 @@ def test_l4_3_differentials_bit_for_bit():
     adapted[1][pairs.index((2, 3))] = QQ.of(1)  # x3∧x4
     assert cochain_complex(L) == Matrix(QQ, adapted)
     assert rref(cochain_complex(L)) == rref(d2_by_brackets(L))
+
+
+def test_valid_prime_field_tables_decode_no_residual(monkeypatch):
+    # in a random basis a valid GF(p) table's residual integers can be nonzero
+    # and vanish mod p; each is reduced before the zero test, so no scalar is
+    # decoded, and a real violation still lists what the brackets give
+    from liemult.fields import FieldSpec
+
+    def unreduced(L):
+        """The rows of d2·d1 on integers, not reduced mod p."""
+        table = L._table
+        for _, row in cohomology._d2_rows(table, triple_basis(L.dim), L.field.p):
+            yield [sum(-c * table[pq][0][l] for pq, c in row.items() if pq in table) for l in range(L.dim)]
+
+    decoded, vanishing = [], 0
+    real = FieldSpec.decode
+    monkeypatch.setattr(FieldSpec, "decode", lambda self, ints, den: decoded.append(ints) or real(self, ints, den))
+    rng = random.Random(20261032)
+    for field in (G3, G5):
+        for case in range(12):
+            base = random_rank2_stem(field, 6 + case % 4, rng) if case % 2 else random_class3(field, 2 + case % 4, rng)
+            L = base.change_basis(random_invertible(field, base.dim, rng))
+            vanishing += sum(any(r) for r in unreduced(L))
+            assert L.validate() == [], (field, case)
+    assert decoded == []
+    assert vanishing > 100  # rows whose integers are nonzero and vanish mod p
+    for field in (G2, G3, G5):
+        L = jacobi_breaker(field)
+        for M in (L, L.change_basis(random_invertible(field, 3, rng))):
+            assert M.validate() == jacobi_residuals_by_brackets(M) != [], field
 
 
 def test_complex_is_actually_a_complex():

@@ -13,11 +13,12 @@ parameter.  Every result of `rref`, `@`, `transpose`, `invert`, `kernel`,
 what the scalar references in `conftest` compute.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import product_by_scalars, reduce, rref_by_fractions, rref_mod_p
+from conftest import product_by_scalars, random_class3, random_rank2_stem, reduce, rref_by_fractions, rref_mod_p
 from hypothesis import given, settings, strategies as st
 
 from liemult import LieAlgebra
@@ -25,7 +26,7 @@ from liemult.catalog import CatalogId, Family, make_catalog
 from liemult.cli import main
 from liemult.document import dumps_algebra
 from liemult.fields import Fp, gf, rationals
-from liemult.linalg import Matrix, Subspace, annihilator, invert, kernel, rref
+from liemult.linalg import Matrix, Subspace, alternating, annihilator, invert, kernel, random_invertible, rref
 from liemult.verify import builtin_suite, cross_check
 
 QQ = rationals()
@@ -51,6 +52,19 @@ def test_every_matrix_built_holds_scalars_of_its_field(monkeypatch, tmp_path, ca
         path = tmp_path / name
         path.write_text(dumps_algebra(make_catalog(cid, field)))
         assert main(["report", str(path), "--oracle", "--randomize-basis", "--seed", "7"]) == 0
+    rng = random.Random(20261032)  # sweep-style: stems plus abelian summands, written in a random basis
+    for k, (cid, field) in enumerate((
+        (CatalogId(Family.L5_8, abelian=2), gf(3)),
+        (CatalogId(Family.L4_3, abelian=2), gf(3)),
+        (CatalogId(Family.L6_22, param=1, abelian=2), gf(7)),
+        (CatalogId(Family.HEISENBERG, rank=2, abelian=1), gf(7)),
+    )):
+        L = make_catalog(cid, field)
+        path = tmp_path / f"sweep{k}.json"
+        path.write_text(dumps_algebra(L.change_basis(random_invertible(field, L.dim, rng))))
+        assert main(["report", str(path), "--oracle"]) == 0
+    # Z(L) reads the table at L^2's pivot (x3): there [x1, x2] = 1/3 x3 + 1/6 x4 is 2/6
+    assert LieAlgebra(QQ, 4, {(0, 1): (0, 0, Fraction(1, 3), Fraction(1, 6))}).series().center.dim == 2
     capsys.readouterr()
     assert len(built) > 1000
     foreign = [(m.field, x) for m in built for row in m.data for x in row if not m.field.owns(x)]
@@ -196,3 +210,78 @@ def test_integer_form_decodes_to_the_scalar_references(field, data):
         _assert_canonical(result)
         again = Matrix(field, result.data, cols=result.cols)
         assert again == result and hash(again) == hash(result)
+
+
+# -- producers that build their rows canonical ------------------------------------
+
+
+def _rebuilt(m):
+    """m through the canonicalising path, from its own rows: equal to m exactly when m is canonical."""
+    return Matrix._from_rows(m.field, m._rows(), m.cols)
+
+
+def _random_rows(field, rng, rows, cols):
+    """Rows of scalars with zero rows and a negative leading entry common over Q."""
+    if field.is_prime_field:
+        entries = [field.of(x) for x in range(field.p)]
+    else:
+        entries = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3, 6)]
+    return [[field.zero] * cols if rng.random() < 0.2 else [rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_every_producer_builds_canonical_rows(monkeypatch):
+    # rref, the quotient map, identity, alternating, annihilator's columns and
+    # d2 skip FieldSpec.canonical; each must equal its rows canonicalised
+    import liemult.cohomology as cohomology
+    import liemult.linalg as linalg
+
+    columns = []
+    real_kernel = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda m: columns.append(m) or real_kernel(m))
+    rng = random.Random(20261032)
+    negative_pivots = 0
+    for field in FIELDS:
+        for case in range(60):
+            r, c = rng.randint(0, 5), rng.randint(0, 5)
+            grid = _random_rows(field, rng, r, c)
+            m = Matrix(field, grid, cols=c)
+            rowspace = rref(m)
+            reference = _reference_rref(field, grid, c)
+            assert (list(rowspace.basis.data), rowspace.pivots) == reference, (field, case)
+            negative_pivots += any(row[j] < 0 for row, j in zip(grid, rowspace.pivots[:1]) if not field.is_prime_field)
+            columns.clear()
+            annihilator(m)
+            n = rng.randint(0, 4)
+            width = rng.randint(0, 3)
+            values = {(i, j): field.encode(_random_rows(field, rng, 1, width)[0])
+                      for j in range(n) for i in range(j) if rng.random() < 0.6}
+            laid = alternating(field, n, values, width)
+            zero = [field.zero] * width
+            pair = lambda i, j: (list(field.decode(*values[(i, j)])) if (i, j) in values
+                                 else [-x for x in field.decode(*values[(j, i)])] if (j, i) in values else zero)
+            assert laid == Matrix(field, [[x for i in range(n) for x in pair(i, j)] for j in range(n)], cols=n * width)
+            for result in (rowspace.basis, rowspace.quotient_map(), Matrix.identity(field, c), laid, columns[0]):
+                assert _rebuilt(result) == result, (field, case)
+        for k in range(6):
+            base = random_class3(field, 2 + k % 3, rng) if k % 2 else random_rank2_stem(field, 5 + k % 3, rng)
+            L = base.change_basis(random_invertible(field, base.dim, rng))
+            d2 = cohomology.cochain_complex(L)
+            assert _rebuilt(d2) == d2, (field, k)
+    assert negative_pivots >= 20
+    # the edges: zero rows only, width 0, identity(0), the zero and the full subspace
+    for field in FIELDS:
+        for m in (Matrix(field, [[field.zero] * 3] * 2), Matrix(field, [], cols=0), Matrix(field, [[], []], cols=0)):
+            assert _rebuilt(rref(m).basis) == rref(m).basis and _rebuilt(rref(m).quotient_map()) == rref(m).quotient_map()
+        assert Matrix.identity(field, 0) == Matrix._from_rows(field, [], 0) and Matrix.identity(field, 0).shape == (0, 0)
+        assert Subspace.full(field, 3).quotient_map() == Matrix._from_rows(field, [([], 1)] * 3, 0)
+        assert alternating(field, 3, {}, 2) == Matrix._from_rows(field, [([0] * 6, 1)] * 3, 6)
+        assert alternating(field, 0, {}, 2).shape == (0, 0)
+    # a negative pivot over Q, and negation over GF(2) and GF(3), where p - x matters
+    assert rref(Matrix(QQ, [[QQ.of(-2), QQ.one, QQ.of(3)]])).basis._rows() == [([2, -1, -3], 2)]
+    for p in (2, 3):
+        field = gf(p)
+        one = field.one
+        q = rref(Matrix(field, [[one, one, field.zero]])).quotient_map()
+        assert q._rows() == [([p - 1, 0], 1), ([1, 0], 1), ([0, 1], 1)] and _rebuilt(q) == q
+        laid = alternating(field, 2, {(0, 1): ([1], 1)}, 1)
+        assert laid._rows() == [([0, p - 1], 1), ([1, 0], 1)] and _rebuilt(laid) == laid
