@@ -29,20 +29,31 @@ and class-3 normal form of a given size over GF(p) for the exhaustive
 boxes, and `box_verdicts` cross-checks each algebra of a box and tallies
 its verdicts; and `rank2_member_by_enumeration` is the reference for
 `classify.has_rank2_member` over GF(p): it ranks each of the p + 1 members
-of the pencil.
+of the pencil.  `corpus_documents`, `corpus_invocations` and `run_cli_corpus`
+make the CLI byte-identity corpus that `tests/test_cli_corpus.py` replays
+against `tests/cli_corpus.json`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import os
+import random
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
+from pathlib import Path
 
 import liemult.formulas as formulas
 from liemult import CatalogId, Family, LieAlgebra, direct_sum, make_catalog
 from liemult.algebra import JacobiViolation
+from liemult.catalog import CONSTRUCTIBLE, STEMS
 from liemult.cohomology import ComplexIntegrityError, schur_dim_oracle
-from liemult.fields import FieldSpec
-from liemult.linalg import Matrix, Subspace, invert, kernel, rref
+from liemult.document import dumps_algebra
+from liemult.fields import FieldSpec, gf, rationals
+from liemult.linalg import Matrix, Subspace, invert, kernel, random_invertible, rref
 from liemult.verify import cross_check
 
 
@@ -568,3 +579,133 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
                 vec = [x + coef * y for x, y in zip(vec, row)]
         vecs.append(vec)
     return Subspace.span(u.field, u.ambient, vecs)
+
+
+# -- the CLI corpus: documents, invocations and their output digests -----------
+
+CORPUS_PRIMES = (2, 3, 5, 7)
+
+
+def _json_document(field, dim, brackets) -> str:
+    """A document written by hand: brackets are (i, j, coeffs) with 1-based i < j and literal coefficients."""
+    rows = [{"i": i, "j": j, "coeffs": list(coeffs)} for i, j, coeffs in brackets]
+    return json.dumps({"field": field, "dim": dim, "brackets": rows})
+
+
+def corpus_documents() -> dict[str, str]:
+    """The documents the CLI corpus runs on, by file name.
+
+    Every constructible family without and with an abelian summand over Q
+    and GF(2/3/5/7) wherever its stem allows the characteristic (H as H(2),
+    A as A(0) and A(2)); a seeded random-basis copy of each with A(1); the
+    documents the CI workflow writes; Jacobi breakers, a non-nilpotent
+    algebra and documents the reader refuses.
+    """
+    docs = {}
+    fields = [rationals()] + [gf(p) for p in CORPUS_PRIMES]
+    rng = random.Random(20261022)
+    for family in CONSTRUCTIBLE:
+        stem = STEMS.get(family)
+        for field in fields:
+            if stem is not None and not stem.allows(field.char):
+                continue
+            tag = "Q" if field.p is None else f"GF{field.p}"
+            rank = 2 if family is Family.HEISENBERG else None
+            for k in (0, 2):
+                L = make_catalog(CatalogId(family, rank=rank, abelian=k), field)
+                docs[f"{family.value}_{k}_{tag}.json"] = dumps_algebra(L)
+            L = make_catalog(CatalogId(family, rank=rank, abelian=1), field)
+            moved = L.change_basis(random_invertible(field, L.dim, rng))
+            docs[f"{family.value}_1_{tag}_random.json"] = dumps_algebra(moved)
+    q = "rationals"
+    docs["f23.json"] = _json_document(q, 5, [(1, 2, "00100"), (1, 3, "00010"), (2, 3, "00001")])
+    docs["f5.json"] = dumps_algebra(free_two_step(rationals(), 5))
+    docs["n5.json"] = dumps_algebra(strictly_upper_triangular(rationals(), 5))
+    j635 = [(1, 2, ["0", "0", "1/3", "0"]), (1, 3, ["0", "0", "0", "2/5"]), (2, 4, ["3/7", "0", "0", "0"])]
+    docs["j635.json"] = _json_document(q, 4, j635)
+    docs["j635x5.json"] = _json_document(q, 5, [(i, j, coeffs + ["0"]) for i, j, coeffs in j635])
+    docs["h2_q.json"] = _json_document(q, 5, [(1, 2, ["0", "0", "0", "0", "1/3"]), (3, 4, ["0", "0", "0", "0", "2/7"])])
+    g5 = {"prime": 5}
+    docs["l55_unreduced.json"] = _json_document(g5, 5, [(1, 2, ["0", "0", "6", "0", "0"]), (1, 3, ["0", "0", "0", "0", "-1"]),
+                                                        (2, 4, ["0", "0", "0", "0", " +11 "])])
+    for field in fields[:4]:
+        tag = "Q" if field.p is None else f"GF{field.p}"
+        docs[f"breaker_{tag}.json"] = dumps_algebra(jacobi_breaker(field))
+        docs[f"solvable_{tag}.json"] = dumps_algebra(non_nilpotent(field))
+    docs["bad_json.json"] = "{definitely not json"
+    docs["bad_duplicate.json"] = _json_document(q, 3, [(1, 2, "001"), (1, 2, "001")])
+    docs["bad_zero_denominator.json"] = _json_document(q, 3, [(1, 2, ["0", "0", "1/0"])])
+    docs["bad_fraction_mod_5.json"] = _json_document(g5, 3, [(1, 2, ["0", "0", "1/2"])])
+    docs["bad_length.json"] = _json_document(q, 3, [(1, 2, "01")])
+    docs["bad_order.json"] = _json_document(q, 3, [(2, 1, "001")])
+    docs["bad_float.json"] = json.dumps({"field": q, "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0.5, "0"]}]})
+    docs["bad_prime.json"] = json.dumps({"field": {"prime": 4}, "dim": 1, "brackets": []})
+    docs["bad_key.json"] = json.dumps({"field": q, "dim": 1, "brackets": [], "extra": 1})
+    return docs
+
+
+#: the documents `check DIR` reads: the CI documents, two catalog ones, breakers, a refused one
+CORPUS_CHECK_DIR = ("f23.json", "j635.json", "h2_q.json", "L5_8_0_Q.json", "L4_3_1_GF3_random.json",
+                    "breaker_GF3.json", "solvable_Q.json", "bad_zero_denominator.json")
+
+REPORT_FLAGS = ([], ["--oracle"], ["--pretty"], ["--oracle", "--pretty", "--randomize-basis", "--seed", "3"],
+                ["--oracle", "--randomize-basis", "--seed", "3"])
+
+
+def corpus_invocations(documents) -> list[list[str]]:
+    """Every argv the corpus runs, with document paths relative to the directory that holds them."""
+    argvs = [["catalog", "--list"], ["catalog"], ["catalog", "X"], ["catalog", "gen_heisenberg_rank2"],
+             ["catalog", "H"], ["catalog", "H", "--m", "0"], ["catalog", "L5_5", "--m", "2"],
+             ["catalog", "L6_22", "--eta", "1"], ["catalog", "L6_22", "--prime", "2"], ["catalog", "L6_7_2"],
+             ["catalog", "L6_22", "--eps", "1/0"], ["catalog", "L6_22", "--eps", "3/4"],
+             ["catalog", "L6_22", "--eps", "3/4", "--abelian", "2"], ["catalog", "L6_22", "--prime", "5", "--eps", "7"],
+             ["catalog", "L6_7_2", "--prime", "2", "--eta", "1"], ["catalog", "A", "--abelian", "-1"],
+             ["catalog", "L5_5", "--prime", "4"]]
+    for family in CONSTRUCTIBLE:
+        stem = STEMS.get(family)
+        for prime in (None, *CORPUS_PRIMES):
+            if stem is not None and not stem.allows(prime or 0):
+                continue
+            for k in (0, 1, 3):
+                argv = ["catalog", family.value, "--abelian", str(k)]
+                argv += ["--m", "2"] if family is Family.HEISENBERG else []
+                argvs.append(argv + ([] if prime is None else ["--prime", str(prime)]))
+    for name in documents:
+        argvs.append(["validate", name])
+        argvs += [["report", name, *flags] for flags in REPORT_FLAGS]
+    argvs += [["validate", "missing.json"], ["report", "missing.json"], ["report", "f23.json", "--prime", "4"]]
+    argvs += [["check"]] + [["check", "--prime", str(p)] for p in CORPUS_PRIMES]
+    argvs += [["check", "checkdir"], ["check", "checkdir", "--prime", "3"], ["check", "missing_dir"]]
+    return argvs
+
+
+def run_cli_corpus(directory) -> tuple[dict[str, str], dict[str, str]]:
+    """Write the corpus into directory and run every invocation in process through `cli.main` from there.
+
+    Returns the sha256 of each document's text by file name, and the sha256
+    of each invocation's exit code, stdout and stderr by its argv joined with
+    spaces.
+    """
+    from liemult.cli import main
+
+    directory = Path(directory)
+    documents = corpus_documents()
+    (directory / "checkdir").mkdir()
+    for name, text in documents.items():
+        (directory / name).write_text(text)
+        if name in CORPUS_CHECK_DIR:
+            (directory / "checkdir" / name).write_text(text)
+    outputs = {}
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in corpus_invocations(documents):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            record = json.dumps([code, out.getvalue(), err.getvalue()])
+            outputs[" ".join(argv)] = hashlib.sha256(record.encode()).hexdigest()
+    finally:
+        os.chdir(here)
+    texts = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in documents.items()}
+    return texts, outputs
