@@ -16,17 +16,16 @@ The table is stored once, as one canonical codec row (ints, den) per pair
 field scalars on each read, as ``Matrix.data`` does.  ``quotient``,
 ``change_basis``, ``direct_sum`` and ``reduce_mod_p`` build their results
 from integer rows through ``LieAlgebra._from_rows``, as ``Matrix._from_rows``
-builds a matrix.  ``structure_vector`` and ``quotient`` read single brackets
-from those rows, negated for i > j.  Other brackets are read off the n x n²
-adjoint matrix that :func:`~liemult.linalg.alternating` lays out from them:
-row j is ad(x_j) written row by row, so its block i is [x_i, x_j], and ad(v)
-for any set of vectors v is one product of their rows with it:
-``bracket(u, v)`` is ``u @ ad(v)``, a lower central step L^{k+1} spans the
-rows of ad(u) over a basis of L^k, and ``change_basis`` takes all n ad(p_j)
-from one product.  L^2 is the span of the table's vectors, the rows of d1 up
-to sign.  Every bracket lies in L^2, so Z(L) is the :func:`annihilator` of
-the n x n·d matrix that ``alternating`` lays out from the table's entries at
-L^2's pivots.
+builds a matrix.  Each bracket is read from a stored form: [x_i, x_j] from its
+row, negated for i > j (``structure_vector``, ``quotient``); pairs [u, v] from
+the table's bilinear form, the minors u_k v_l - u_l v_k over its pairs k < l
+times its rows (``change_basis`` on the pairs of P's rows, ``bracket_span`` on
+those of its two bases); and sets [x_i, v] from the blocks of v times the
+n x n² adjoint matrix that :func:`~liemult.linalg.alternating` lays out from
+the rows, whose row j is ad(x_j) (``ad``, the lower central steps and
+``quotient``'s ideal test).  L^2 is the row space of the rows as stored.
+Every bracket lies in L^2, so Z(L) is the :func:`annihilator` of the n x n·d
+matrix that ``alternating`` lays out from the table's entries at L^2's pivots.
 
 Characteristic subspaces (derived subalgebra, lower central series,
 center) are returned as :class:`~liemult.linalg.Subspace` values in the
@@ -45,7 +44,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, alternating, annihilator, invert, rref
+from .linalg import Matrix, Subspace, _Codec, alternating, annihilator, invert, rref
 
 
 class JacobiViolation(NamedTuple):
@@ -123,23 +122,30 @@ class LieAlgebra:
         ints, den = self._table.get((min(i, j), max(i, j)), ([0] * n, 1))
         return tuple(self.field.decode(ints if i < j else [-x for x in ints], den))
 
-    def _ads(self, vectors: Matrix) -> list[Matrix]:
-        """ad(v) for each row v of vectors, from one product with the adjoint matrix."""
-        n = self.dim
-        blocks = (vectors @ self._adjoint)._rows(n)  # row i of ad(v) is block i of v's row
-        return [Matrix._from_rows(self.field, blocks[k * n:(k + 1) * n], n) for k in range(vectors.rows)]
+    def _stored(self) -> Matrix:
+        """The table's rows in pair order, as stored (canonical)."""
+        rows = self._table.values()
+        return Matrix(self.field, _Codec([x for ints, _ in rows for x in ints], [den for _, den in rows]), self.dim)
+
+    def _pairs(self, pairs: list) -> Matrix:
+        """[u, v] for each pair of (ints, den) rows: the minors u_k v_l - u_l v_k over the table's pairs, times its rows."""
+        minors = [([u[k] * v[l] - u[l] * v[k] for k, l in self._table], du * dv) for (u, du), (v, dv) in pairs]
+        return Matrix._from_rows(self.field, minors, len(self._table)) @ self._stored()
+
+    def _sets(self, vectors: Matrix) -> Matrix:
+        """[x_i, v] for each row v of vectors and i < n, in turn: the blocks of v @ adjoint."""
+        n = self.dim  # a 0-wide split keeps one piece per row; the slice drops it
+        return Matrix._from_rows(self.field, (vectors @ self._adjoint)._rows(n)[:vectors.rows * n], n)
 
     def ad(self, v: Sequence) -> Matrix:
         """The n x n matrix of x ↦ [x, v]: row i is [x_i, v]."""
-        n = self.dim
-        if len(v) != n:
-            raise ValueError(f"vector has {len(v)} coordinates, need {n}")
-        return self._ads(Matrix(self.field, [[self.field.of(x) for x in v]], cols=n))[0]
+        if len(v) != self.dim:
+            raise ValueError(f"vector has {len(v)} coordinates, need {self.dim}")
+        return self._sets(Matrix(self.field, [[self.field.of(x) for x in v]], cols=self.dim))
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the table to coordinate vectors: u @ ad(v)."""
-        u = [self.field.of(x) for x in u]
-        return (Matrix(self.field, [u], cols=self.dim) @ self.ad(v)).data[0]
+        return (Matrix(self.field, [[self.field.of(x) for x in u]], cols=self.dim) @ self.ad(v)).data[0]
 
     @property
     def is_abelian(self) -> bool:
@@ -163,8 +169,7 @@ class LieAlgebra:
         """Span of [a, b] over basis vectors a of u, b of v."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("subspace ambient dimension must match the algebra")
-        rows = [r for m in self._ads(v.basis) for r in (u.basis @ m)._rows()]
-        return rref(Matrix._from_rows(self.field, rows, self.dim))
+        return rref(self._pairs([(a, b) for a in u.basis._rows() for b in v.basis._rows()]))
 
     def derived_subalgebra(self) -> Subspace:
         """L^2, read from the series (L itself when L is perfect or zero)."""
@@ -179,13 +184,12 @@ class LieAlgebra:
             return self._series
         n, field = self.dim, self.field
         lower = [Subspace.full(field, n)]
-        nxt = rref(Matrix._from_rows(field, self._table.values(), n))  # L^2 spans the table vectors
+        nxt = rref(self._stored())  # L^2 spans the table vectors
         while nxt.dim < lower[-1].dim:  # a series that stabilizes above zero is not nilpotent
             lower.append(nxt)
             if nxt.dim == 0:
                 break
-            # [L, L^k] is spanned by the rows of ad(u) over a basis of L^k
-            nxt = rref(Matrix._from_rows(field, (nxt.basis @ self._adjoint)._rows(n), n))
+            nxt = rref(self._sets(nxt.basis))  # [L, L^k] spans [x_i, u] over a basis of L^k
         nilpotent = lower[-1].dim == 0 or self.dim == 0
         cls = len(lower) - 1 if nilpotent else None
         derived = list(lower[:2])  # L and L^2; a perfect L stops at L
@@ -222,7 +226,7 @@ class LieAlgebra:
         keep = [j for j in range(n) if j not in ideal.pivots]
         q = len(keep)
         proj = ideal.quotient_map()
-        if any(not (m @ proj).is_zero() for m in self._ads(ideal.basis)):
+        if not (self._sets(ideal.basis) @ proj).is_zero():
             raise ValueError("subspace is not an ideal")  # [L, I] has a nonzero image in L/I
         pairs = [(a, b) for b in range(q) for a in range(b)]
         zero = ([0] * n, 1)  # keep is increasing, so keep[a] < keep[b]
@@ -237,13 +241,10 @@ class LieAlgebra:
         if p.shape != (self.dim, self.dim):
             raise ValueError("basis change must be square of matching size")
         pinv = invert(p)  # raises on singular input
-        n = self.dim
-        pairs = [(i, j) for j in range(n) for i in range(j)]
-        # [p_i, p_j] for i < j: row i of p[:j] @ ad(p_j)
+        pairs = [(i, j) for j in range(self.dim) for i in range(j)]
         rows = p._rows()
-        old = [r for j, m in enumerate(self._ads(p)) for r in (Matrix._from_rows(self.field, rows[:j], n) @ m)._rows()]
-        new = Matrix._from_rows(self.field, old, n) @ pinv
-        return LieAlgebra._from_rows(self.field, n, dict(zip(pairs, new._rows())))
+        new = self._pairs([(rows[i], rows[j]) for i, j in pairs]) @ pinv  # [p_i, p_j] in the new basis
+        return LieAlgebra._from_rows(self.field, self.dim, dict(zip(pairs, new._rows())))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import LieAlgebra, direct_sum
+from .algebra import LieAlgebra
 from .fields import FieldSpec, Scalar
 
 
@@ -100,7 +100,7 @@ def _core_table(id: CatalogId, field: FieldSpec, n: int) -> dict:
     if fam is Family.ABELIAN:
         return {}
     if fam is Family.HEISENBERG:
-        brackets = [(2 * i + 1, 2 * i + 2, n) for i in range(id.rank)]
+        brackets = [(2 * i + 1, 2 * i + 2, 2 * id.rank + 1) for i in range(id.rank)]
     else:
         stem = STEMS[fam]
         if not stem.allows(field.char):
@@ -124,7 +124,5 @@ def make_catalog(id: CatalogId, field: FieldSpec) -> LieAlgebra:
         raise ValueError(f"family {id.family.value} takes no rank")
     if id.param is not None and (id.family not in STEMS or STEMS[id.family].flag is None):
         raise ValueError(f"family {id.family.value} takes no parameter")
-    core = LieAlgebra(field, base, _core_table(id, field, base))
-    if id.abelian == 0:
-        return core
-    return direct_sum(core, LieAlgebra(field, id.abelian))
+    n = base + id.abelian  # one table: A(k)'s generators follow the core's and bracket with nothing
+    return LieAlgebra(field, n, _core_table(id, field, n))

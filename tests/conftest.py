@@ -15,9 +15,9 @@ reference for `Subspace.quotient_map` and `Subspace.contains_subspace`.
 `heisenberg` builds H(m) + A(k) through `make_catalog`, and `free_two_step`
 the free 2-step nilpotent algebra F(g), outside the paper's scope.  `wrong_stem_multiplier` plants an error in the closed forms for the
 tests that check a mismatch is caught.  `bracket_by_table`,
-`center_by_equations`, `change_basis_by_pairs` and `series_by_brackets`
-read the table pair by pair, as `LieAlgebra` did before it read every
-bracket off its adjoint matrix; no reference calls the code it checks.
+`center_by_equations`, `change_basis_by_pairs`, `series_by_brackets` and
+`quotient_by_brackets` read the table pair by pair, not from the forms
+`LieAlgebra` reads its brackets from; no reference calls the code it checks.
 `scalars` coerces literal rows into a field, as a `Matrix` requires.  `subspace_sum` and
 `intersect` are the subspace operations the tests need and the package
 does not.  `random_rank2_stem` draws class-2 stems with dim L^2 = 2,
@@ -356,6 +356,21 @@ def bracket_by_table(L: LieAlgebra, u, v) -> tuple:
         if coef:
             out = [a + coef * b for a, b in zip(out, vec)]
     return tuple(out)
+
+
+def quotient_by_brackets(L: LieAlgebra, ideal: Subspace) -> dict | None:
+    """L/I's table on I's free coordinates, each [x_a, x_b] reduced modulo I; None when some [x_i, b] leaves I."""
+    n = L.dim
+    e = Matrix.identity(L.field, n).data
+    if any(any(reduce(ideal, bracket_by_table(L, x, b))) for x in e for b in ideal.basis.data):
+        return None
+    keep = [j for j in range(n) if j not in ideal.pivots]
+    table = {}
+    for a, b in combinations(range(len(keep)), 2):
+        vec = reduce(ideal, bracket_by_table(L, e[keep[a]], e[keep[b]]))
+        if any(vec):
+            table[(a, b)] = tuple(vec[j] for j in keep)
+    return table
 
 
 def center_by_equations(L: LieAlgebra) -> Subspace:

@@ -14,6 +14,7 @@ from conftest import (
     jacobi_breaker,
     jacobi_residuals_by_brackets,
     non_nilpotent,
+    quotient_by_brackets,
     random_class3,
     random_rank2_stem,
     rank2_stem_zoo,
@@ -259,40 +260,61 @@ def sl2(field):
 
 
 def test_ad_matches_table_references():
-    # structure_vector (read from the table), bracket, bracket_span, both
-    # series chains and change_basis (read off the adjoint matrix) and the
-    # center (the annihilator of the table at L^2's pivots), against the
-    # pair-by-pair readings of the table in conftest
+    # structure_vector (read from the table), bracket and ad (the blocks of
+    # v @ adjoint), bracket_span and change_basis (the minors of each pair
+    # times the table's rows), quotient (its ideal test from the blocks), both
+    # series chains and the center (the annihilator of the table at L^2's
+    # pivots), against the pair-by-pair readings of the table in conftest;
+    # abelian tables (no minor columns), n = 0, zero subspaces and Q basis
+    # changes whose rows carry denominators included
     rng = random.Random(20261019)
-    kinds = {"non-nilpotent": 0, "perfect": 0, "invalid": 0}
+    kinds = {"non-nilpotent": 0, "perfect": 0, "invalid": 0, "abelian": 0, "ideal": 0, "not an ideal": 0}
     for field in (QQ, gf(2), gf(3), G5):
         entries = range(field.p) if field.is_prime_field else (-2, -1, 0, 1, 3, Fraction(-1, 2))
         algebras = [sl2(field), non_nilpotent(field), direct_sum(sl2(field), non_nilpotent(field))]
+        algebras += [LieAlgebra(field, n) for n in range(5)]
         algebras += [_random_table(field, n, rng, two_step=case % 2 == 0) for n in range(8) for case in range(6)]
         for L in algebras:
             n = L.dim
             vectors = list(Matrix.identity(field, n).data)
             vectors += [[rng.choice(entries) for _ in range(n)] for _ in range(3)]
-            for u in vectors:
-                for v in vectors:
+            for v in vectors:
+                ad = L.ad(v)
+                assert ad.shape == (n, n) and ad.data == tuple(bracket_by_table(L, x, v) for x in vectors[:n]), (field, n)
+                for u in vectors:
                     assert L.bracket(u, v) == bracket_by_table(L, u, v), (field, n)
             zero = (field.zero,) * n
             for i in range(n):
                 for j in range(n):
                     expected = L.table.get((i, j)) or tuple(-x for x in L.table.get((j, i), zero))
                     assert L.structure_vector(i, j) == expected, (field, n, i, j)
-            u, v = (Subspace.span(field, n, scalars(field, [[rng.choice(entries) for _ in range(n)] for _ in range(k)])) for k in (2, 3))
-            pairwise = [bracket_by_table(L, a, b) for a in u.basis.data for b in v.basis.data]
-            assert L.bracket_span(u, v) == Subspace.span(field, n, pairwise), (field, n)
+            for ku, kv in ((2, 3), (0, 3), (2, 0)):
+                u, v = (Subspace.span(field, n, scalars(field, [[rng.choice(entries) for _ in range(n)] for _ in range(k)])) for k in (ku, kv))
+                pairwise = [bracket_by_table(L, a, b) for a in u.basis.data for b in v.basis.data]
+                assert L.bracket_span(u, v) == Subspace.span(field, n, pairwise), (field, n)
             assert L.series().center == center_by_equations(L), (field, n)
             series = L.series()
             assert (series.lower_central, series.derived_series) == series_by_brackets(L), (field, n)
             p = random_invertible(field, n, rng)
-            moved = L.change_basis(p)
-            assert dict(moved.table) == dict(change_basis_by_pairs(L, p).table), (field, n)
+            bases = [p]
+            if field == QQ:  # rows over 1, 2, 3, ...: the minors carry the product of two denominators
+                bases.append(Matrix(field, [[Fraction(x, i + 1) for x in row] for i, row in enumerate(p.data)], cols=n))
+            for p in bases:
+                moved = L.change_basis(p)
+                assert dict(moved.table) == dict(change_basis_by_pairs(L, p).table), (field, n)
+            line = Subspace.span(field, n, scalars(field, [[rng.choice(entries) for _ in range(n)]]))
+            for ideal in (*series.lower_central, series.center, Subspace.span(field, n, []), line):
+                reference = quotient_by_brackets(L, ideal)
+                if reference is None:
+                    with pytest.raises(ValueError, match="not an ideal"):
+                        L.quotient(ideal)
+                else:
+                    assert dict(L.quotient(ideal)[0].table) == reference, (field, n)
+                kinds["ideal" if reference is not None else "not an ideal"] += 1
             kinds["non-nilpotent"] += not series.is_nilpotent
             kinds["perfect"] += n > 0 and series.derived_dim == n
             kinds["invalid"] += bool(L.validate())
+            kinds["abelian"] += L.is_abelian
     assert min(kinds.values()) >= 20, kinds
 
 

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from conftest import heisenberg
+from conftest import heisenberg, unit
 
 from liemult.algebra import LieAlgebra, direct_sum
-from liemult.catalog import CONSTRUCTIBLE, CatalogId, Family, make_catalog
+from liemult.catalog import CONSTRUCTIBLE, STEMS, CatalogId, Family, make_catalog
+from liemult.document import dumps_algebra
 from liemult.fields import gf, rationals
 
 QQ = rationals()
@@ -129,3 +132,36 @@ def test_total_dim_bookkeeping():
         Family.ABELIAN, Family.HEISENBERG, Family.L4_3, Family.L5_5,
         Family.L5_8, Family.L6_22, Family.L6_7_2, Family.L1,
     }
+
+
+def test_one_table_equals_the_core_plus_its_abelian_summand(monkeypatch):
+    # make_catalog lays out core + A(k) as one table of width base + k and
+    # builds one algebra; it must equal direct_sum(core, A(k)) in every stored
+    # form and in the document it writes
+    stores = []
+    real_store = LieAlgebra._store
+    monkeypatch.setattr(LieAlgebra, "_store", lambda self, *a: stores.append(self) or real_store(self, *a))
+    ids = [(CatalogId(Family.L6_22, param=Fraction(3, 4)), QQ)]
+    for family in CONSTRUCTIBLE:
+        for field in (QQ, G2, G3, G5):
+            if family in STEMS and not STEMS[family].allows(field.char):
+                continue
+            ranks = (1, 2, 3) if family is Family.HEISENBERG else (None,)
+            ids += [(CatalogId(family, rank=m), field) for m in ranks]
+    checked = 0
+    for cid, field in ids:
+        core = make_catalog(cid, field)
+        for k in range(4):
+            stores.clear()
+            L = make_catalog(CatalogId(cid.family, cid.rank, cid.param, cid.abelian + k), field)
+            assert len(stores) == 1, (cid, field, k)  # one LieAlgebra per call
+            if cid.family is Family.ABELIAN:  # A(k) has no core: its total dimension is k
+                assert L.dim == k and L.is_abelian
+                continue
+            reference = direct_sum(core, LieAlgebra(field, k))
+            assert (L.dim, L.table, L.labels) == (reference.dim, reference.table, reference.labels), (cid, field, k)
+            assert L._adjoint == reference._adjoint and dumps_algebra(L) == dumps_algebra(reference), (cid, field, k)
+            if cid.family is Family.HEISENBERG:  # the central generator is x_{2m+1}, not the last one
+                assert L.structure_vector(0, 1) == tuple(map(field.of, unit(L.dim, 2 * cid.rank))), (cid, field, k)
+            checked += 1
+    assert checked == 4 * (len(ids) - 4)  # every id but A over the four fields

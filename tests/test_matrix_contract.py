@@ -230,8 +230,9 @@ def _random_rows(field, rng, rows, cols):
 
 
 def test_every_producer_builds_canonical_rows(monkeypatch):
-    # rref, the quotient map, identity, alternating, annihilator's columns and
-    # d2 skip FieldSpec.canonical; each must equal its rows canonicalised
+    # rref, the quotient map, identity, alternating, annihilator's columns, d2
+    # and the table's rows as stored skip FieldSpec.canonical; each must equal
+    # its rows canonicalised
     import liemult.cohomology as cohomology
     import liemult.linalg as linalg
 
@@ -272,7 +273,7 @@ def test_every_producer_builds_canonical_rows(monkeypatch):
             base = random_class3(field, 2 + k % 3, rng) if k % 2 else random_rank2_stem(field, 5 + k % 3, rng)
             L = base.change_basis(random_invertible(field, base.dim, rng))
             d2 = cohomology.cochain_complex(L)
-            assert _rebuilt(d2) == d2, (field, k)
+            assert _rebuilt(d2) == d2 and _rebuilt(L._stored()) == L._stored(), (field, k)
     assert negative_leads >= 20
     # the edges: zero rows only, width 0, identity(0), the zero and the full subspace
     for field in FIELDS:
